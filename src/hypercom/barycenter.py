@@ -28,8 +28,9 @@ from .geometry import (
     check_radius,
     disk_distance,
     geodesic_between,
-    project,
     unproject,
+    _project,
+    _unproject,
 )
 
 LINE = "line"
@@ -187,35 +188,55 @@ def com_disk(system: MassedSystem) -> CenterOfMass:
     its own position.
     """
     _require_model(system, DISK)
-    radius = system.radius
-    masses = [p.mass for p in system.particles]
-    total = math.fsum(masses)
-    if len(system.particles) == 1:
-        w = complex(system.particles[0].position)
+    masses = system.masses()
+    return _center(
+        masses, math.fsum(masses), system.positions(), float(system.radius)
+    )
+
+
+def _center(masses, total: float, positions, radius: float) -> CenterOfMass:
+    """Kernel of com_disk for validated masses, disk points and radius.
+
+    ``total`` is the exact sum of ``masses``.  The arithmetic is that of
+    log_ratio and log_ratio_inv without their checks: every point of a
+    validated system lies inside the disk, and the mean of coordinates
+    in the strip |imag| < pi/2 stays in it.
+    """
+    if len(positions) == 1:
+        w = complex(positions[0])
         return CenterOfMass(
-            center=w, log_ratio_mean=log_ratio(w, radius), total_mass=total
+            center=w,
+            log_ratio_mean=cmath.log((radius + w) / (radius - w)),
+            total_mass=total,
         )
-    coords = [log_ratio(p.position, radius) for p in system.particles]
+    coords = [cmath.log((radius + w) / (radius - w)) for w in positions]
     mean = complex(
         math.fsum(m * v.real for m, v in zip(masses, coords)) / total,
         math.fsum(m * v.imag for m, v in zip(masses, coords)) / total,
     )
     return CenterOfMass(
-        center=log_ratio_inv(mean, radius), log_ratio_mean=mean, total_mass=total
+        center=radius * cmath.tanh(0.5 * mean), log_ratio_mean=mean, total_mass=total
     )
 
 
 def com_hyperboloid(masses, points, radius: float) -> HPoint:
-    """Center of mass of particles on the sheet, computed through the disk."""
+    """Center of mass of particles on the sheet, computed through the disk.
+
+    Each sheet point is validated once; its projection must still clear
+    the disk rim band, which points beyond about 29R from the pole fail.
+    """
     radius = check_radius(radius)
     points = [check_hpoint(p, radius) for p in points]
     masses = [check_mass(m) for m in masses]
     if len(masses) != len(points):
         raise ValidationError(f"{len(masses)} masses for {len(points)} points")
+    if not points:
+        raise ValidationError("a system needs at least one particle")
     if len(points) == 1:
         return points[0]
-    system = disk_system(masses, [project(p, radius) for p in points], radius)
-    return unproject(com_disk(system).center, radius)
+    positions = [check_disk_point(_project(p, radius), radius) for p in points]
+    com = _center(masses, math.fsum(masses), positions, radius)
+    return unproject(com.center, radius)
 
 
 def com_euclidean(masses, positions) -> complex:
@@ -267,7 +288,7 @@ def to_disk_system(system: MassedSystem) -> MassedSystem:
     if system.model == LINE:
         positions = [complex(p.position) for p in system.particles]
     else:
-        positions = [project(p.position, system.radius) for p in system.particles]
+        positions = [_project(p.position, system.radius) for p in system.particles]
     return disk_system(system.masses(), positions, system.radius)
 
 
@@ -276,7 +297,7 @@ def to_hyperboloid_system(system: MassedSystem) -> MassedSystem:
     if system.model == HYPERBOLOID:
         return system
     disk = to_disk_system(system)
-    points = [unproject(p.position, disk.radius) for p in disk.particles]
+    points = [_unproject(p.position, disk.radius) for p in disk.particles]
     return hyperboloid_system(disk.masses(), points, disk.radius)
 
 

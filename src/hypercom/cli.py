@@ -75,9 +75,24 @@ class _Parser(argparse.ArgumentParser):
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write output {output!r}: {exc.strerror or exc}"
+        ) from exc
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _pair(value: complex) -> list[float]:
@@ -298,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     eq.add_argument("--alpha", type=float, required=True,
                     help="disk radius of the first mass")
     eq.add_argument("--radius", type=float, required=True)
-    eq.add_argument("--angles", type=int, default=SWEEP_ANGLES,
+    eq.add_argument("--angles", type=_positive_int, default=SWEEP_ANGLES,
                     help="rotation sweep resolution")
     eq.add_argument("--format", choices=("json", "csv"), default="json")
     eq.add_argument("--output", default=None)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .barycenter import (
     CenterOfMass,
     MassedSystem,
+    _center,
     check_mass,
     com_disk,
     com_line,
@@ -38,7 +39,6 @@ from .geometry import (
     check_interval_point,
     check_radius,
     check_disk_point,
-    rotate_disk,
 )
 
 # Two radii count as equal when they agree to this relative tolerance;
@@ -189,20 +189,23 @@ class RotationSweep:
 
 
 def rotation_sweep(system: MassedSystem, angles=None) -> RotationSweep:
-    """Recompute the center over rigid rotations of a disk system."""
+    """Recompute the center over rigid rotations of a disk system.
+
+    A rotation about the origin keeps every point of a validated system
+    inside the disk, so the rotated points go straight to the center
+    kernel without building and revalidating a system per angle.
+    """
     if angles is None:
         angles = [2.0 * math.pi * k / SWEEP_ANGLES for k in range(SWEEP_ANGLES)]
     base = com_disk(system)
     masses = system.masses()
+    positions = [complex(p) for p in system.positions()]
+    radius = float(system.radius)
     samples = []
     for angle in angles:
-        rotated = disk_system(
-            masses,
-            [rotate_disk(p, angle) for p in system.positions()],
-            system.radius,
-        )
-        com = com_disk(rotated)
-        defect = abs(com.center - rotate_disk(base.center, angle))
+        rot = cmath.exp(1j * angle)
+        com = _center(masses, base.total_mass, [w * rot for w in positions], radius)
+        defect = abs(com.center - base.center * rot)
         samples.append(RotationSample(angle=angle, com=com, defect=defect))
     return RotationSweep(
         base=base,

@@ -132,7 +132,12 @@ def check_interval_point(u: float, radius: float) -> float:
 def project(p, radius: float) -> complex:
     """Stereographic image of a hyperboloid point in the disk model."""
     radius = check_radius(radius)
-    x, y, z = check_hpoint(p, radius)
+    return _project(check_hpoint(p, radius), radius)
+
+
+def _project(p, radius: float) -> complex:
+    """Kernel of project for a validated sheet point and radius."""
+    x, y, z = p
     denom = radius + z
     return complex(radius * x / denom, radius * y / denom)
 
@@ -140,7 +145,11 @@ def project(p, radius: float) -> complex:
 def unproject(w, radius: float) -> HPoint:
     """Lift a disk point onto the upper hyperboloid sheet."""
     radius = check_radius(radius)
-    w = check_disk_point(w, radius)
+    return _unproject(check_disk_point(w, radius), radius)
+
+
+def _unproject(w: complex, radius: float) -> HPoint:
+    """Kernel of unproject for a validated disk point and radius."""
     rr = radius * radius
     ww = w.real * w.real + w.imag * w.imag
     denom = rr - ww
@@ -201,8 +210,11 @@ def hyperboloid_distance(p, q, radius: float) -> float:
     product otherwise.
     """
     radius = check_radius(radius)
-    p = check_hpoint(p, radius)
-    q = check_hpoint(q, radius)
+    return _distance(check_hpoint(p, radius), check_hpoint(q, radius), radius)
+
+
+def _distance(p: HPoint, q: HPoint, radius: float) -> float:
+    """Kernel of hyperboloid_distance for validated points and radius."""
     rr = radius * radius
     dx, dy, dz = p.x - q.x, p.y - q.y, p.z - q.z
     gap = (dx * dx + dy * dy - dz * dz) / (2.0 * rr)
@@ -213,9 +225,8 @@ def hyperboloid_distance(p, q, radius: float) -> float:
 
 def disk_distance(w1, w2, radius: float) -> float:
     """Geodesic distance in the disk model, pulled back through the lift."""
-    return hyperboloid_distance(
-        unproject(w1, radius), unproject(w2, radius), radius
-    )
+    radius = check_radius(radius)
+    return _distance(unproject(w1, radius), unproject(w2, radius), radius)
 
 
 def arclength_from_pole(u: float, radius: float) -> float:

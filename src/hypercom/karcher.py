@@ -25,12 +25,12 @@ import math
 from dataclasses import dataclass
 
 from .barycenter import HYPERBOLOID, MassedSystem
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, NumericalError, ValidationError
 from .geometry import (
     HPoint,
+    _distance,
     check_hpoint,
     check_radius,
-    hyperboloid_distance,
     minkowski_inner,
 )
 
@@ -50,7 +50,11 @@ class TangentVector:
     v: tuple[float, float, float]
 
     def norm(self) -> float:
-        return math.sqrt(max(minkowski_inner(self.v, self.v), 0.0))
+        return _norm(self.v)
+
+
+def _norm(v) -> float:
+    return math.sqrt(max(minkowski_inner(v, v), 0.0))
 
 
 @dataclass(frozen=True)
@@ -72,16 +76,13 @@ class KarcherSettings:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
-def _check_tangent(base: HPoint, v, radius: float) -> None:
+def _is_tangent(base: HPoint, v, radius: float) -> bool:
     inner = minkowski_inner(base, v)
     scale = (radius * radius) + math.sqrt(
         (base.x * base.x + base.y * base.y + base.z * base.z)
         * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
     )
-    if abs(inner) > TANGENT_TOL * scale:
-        raise ValidationError(
-            f"vector {tuple(v)!r} is not tangent at {tuple(base)!r}"
-        )
+    return not abs(inner) > TANGENT_TOL * scale
 
 
 def exp_map(vector: TangentVector, radius: float) -> HPoint:
@@ -92,13 +93,21 @@ def exp_map(vector: TangentVector, radius: float) -> HPoint:
     """
     radius = check_radius(radius)
     base = check_hpoint(vector.base, radius)
-    _check_tangent(base, vector.v, radius)
-    norm = vector.norm()
+    if not _is_tangent(base, vector.v, radius):
+        raise ValidationError(
+            f"vector {tuple(vector.v)!r} is not tangent at {tuple(base)!r}"
+        )
+    return _exp(base, vector.v, radius)
+
+
+def _exp(base: HPoint, v, radius: float) -> HPoint:
+    """Kernel of exp_map for a validated base point and tangent vector."""
+    norm = _norm(v)
     if norm == 0.0:
         return base
     ch = math.cosh(norm / radius)
     sh = radius * math.sinh(norm / radius) / norm
-    vx, vy, vz = vector.v
+    vx, vy, vz = v
     return HPoint(ch * base.x + sh * vx, ch * base.y + sh * vy, ch * base.z + sh * vz)
 
 
@@ -110,10 +119,14 @@ def log_map(p, q, radius: float) -> TangentVector:
     """
     radius = check_radius(radius)
     p = check_hpoint(p, radius)
-    q = check_hpoint(q, radius)
-    dist = hyperboloid_distance(p, q, radius)
+    return TangentVector(base=p, v=_log(p, check_hpoint(q, radius), radius))
+
+
+def _log(p: HPoint, q: HPoint, radius: float) -> tuple[float, float, float]:
+    """Kernel of log_map for validated points: the components of the vector."""
+    dist = _distance(p, q, radius)
     if dist == 0.0:
-        return TangentVector(base=p, v=(0.0, 0.0, 0.0))
+        return (0.0, 0.0, 0.0)
     coef = minkowski_inner(p, q) / (radius * radius)
     tx = q.x + coef * p.x
     ty = q.y + coef * p.y
@@ -121,7 +134,7 @@ def log_map(p, q, radius: float) -> TangentVector:
     # The projected chord has Minkowski norm R sinh(d/R) exactly, so the
     # rescale to arclength never squares the (possibly huge) components.
     scale = dist / (radius * math.sinh(dist / radius))
-    return TangentVector(base=p, v=(tx * scale, ty * scale, tz * scale))
+    return (tx * scale, ty * scale, tz * scale)
 
 
 def _ratio_coth(t: float) -> float:
@@ -134,8 +147,23 @@ def _ratio_coth(t: float) -> float:
 
 def _renormalize(x: float, y: float, z: float, radius: float) -> HPoint:
     # Rescale onto the sheet to kill rounding drift; z > 0 is preserved.
-    factor = radius / math.sqrt(z * z - x * x - y * y)
+    # Far from the pole z^2 - x^2 - y^2 can cancel to zero or below.
+    square = z * z - x * x - y * y
+    if not square > 0.0:
+        raise NumericalError(
+            f"point {(x, y, z)!r} is not timelike in double precision, so it "
+            f"cannot be rescaled onto the sheet"
+        )
+    factor = radius / math.sqrt(square)
     return HPoint(x * factor, y * factor, z * factor)
+
+
+def _check_iterate(point: HPoint, radius: float) -> None:
+    # The solver's own iterate; losing it is a numerical failure, not bad input.
+    try:
+        check_hpoint(point, radius)
+    except ValidationError as exc:
+        raise NumericalError(f"barycenter iterate left the sheet: {exc}") from exc
 
 
 def karcher_mean(
@@ -150,7 +178,11 @@ def karcher_mean(
     overrides it, and the limit does not depend on the start) and
     iterates until the mean log vector is shorter than the tolerance.
     Raises ConvergenceError, with the last iterate and gradient norm
-    attached, if the cap is hit first.
+    attached, if the cap is hit first, and NumericalError if rounding
+    takes an iterate off the sheet or a step off its tangent plane.
+
+    The particles were validated when the system was built; the loop
+    checks only its own iterate and step, once per iteration.
     """
     if system.model != HYPERBOLOID:
         raise ValidationError(
@@ -176,10 +208,11 @@ def karcher_mean(
         )
     gradient_norm = math.inf
     for _ in range(settings.max_iter):
-        logs = [log_map(current, p, radius) for p in points]
-        gx = math.fsum(m * t.v[0] for m, t in zip(masses, logs)) / total
-        gy = math.fsum(m * t.v[1] for m, t in zip(masses, logs)) / total
-        gz = math.fsum(m * t.v[2] for m, t in zip(masses, logs)) / total
+        _check_iterate(current, radius)
+        logs = [_log(current, p, radius) for p in points]
+        gx = math.fsum(m * v[0] for m, v in zip(masses, logs)) / total
+        gy = math.fsum(m * v[1] for m, v in zip(masses, logs)) / total
+        gz = math.fsum(m * v[2] for m, v in zip(masses, logs)) / total
         # A rounded-negative square means the gradient is at the noise
         # floor; sqrt(|.|) estimates that floor instead of claiming zero.
         gradient_norm = math.sqrt(abs(gx * gx + gy * gy - gz * gz))
@@ -188,13 +221,16 @@ def karcher_mean(
         # Inverse of the smoothness bound sum of m_k (d_k/R) coth(d_k/R);
         # never above 1, and exactly 1 in the coincident limit.
         smoothness = math.fsum(
-            m * _ratio_coth(t.norm() / radius) for m, t in zip(masses, logs)
+            m * _ratio_coth(_norm(v) / radius) for m, v in zip(masses, logs)
         ) / total
         step = 1.0 / smoothness
-        moved = exp_map(
-            TangentVector(base=current, v=(step * gx, step * gy, step * gz)),
-            radius,
-        )
+        v = (step * gx, step * gy, step * gz)
+        if not _is_tangent(current, v, radius):
+            raise NumericalError(
+                f"barycenter step {v!r} left the tangent plane at "
+                f"{tuple(current)!r} (gradient norm {gradient_norm!r})"
+            )
+        moved = _exp(current, v, radius)
         current = _renormalize(moved.x, moved.y, moved.z, radius)
     raise ConvergenceError(
         f"barycenter iteration did not reach {tol!r} within "

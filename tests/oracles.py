@@ -5,7 +5,14 @@ arclengths come from adaptive quadrature of the conformal line element,
 balance points from bisection on the lever relation, and the averaging
 formula from 30+ digit complex arithmetic.  Values frozen into tests
 were produced by these functions.
+
+The two reference loops at the end are different in kind: they rebuild
+the rotation sweep and the barycenter iteration from the validating
+public functions only, so that the library's trusted-kernel versions
+can be held to exact equality with them.
 """
+
+import math
 
 import mpmath as mp
 
@@ -97,3 +104,126 @@ def euclidean_limit_error_highprec(masses, points, radius, dps=50):
             / total
         )
         return float(abs(r * mp.tanh(mean / 2) - flat))
+
+
+def karcher_gradient_norm_highprec(masses, points, point, radius, dps=40):
+    """Minkowski norm of the mass-weighted mean log vector at ``point``.
+
+    Zero exactly at the weighted Frechet mean.  Each log vector is
+    (d / (R sinh(d/R))) (q - c p) with c = -<p, q>/R^2 and d = R acosh c,
+    evaluated in high precision from the input numbers.
+    """
+    with mp.workdps(dps):
+        r = mp.mpf(radius)
+
+        def inner(a, b):
+            return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
+
+        x = [mp.mpf(c) for c in point]
+        grad = [mp.mpf(0)] * 3
+        for m, q in zip(masses, points):
+            q = [mp.mpf(c) for c in q]
+            c = -inner(x, q) / (r * r)
+            if c <= 1:
+                continue
+            d = r * mp.acosh(c)
+            scale = mp.mpf(m) * d / (r * mp.sinh(d / r))
+            grad = [grad[k] + scale * (q[k] - c * x[k]) for k in range(3)]
+        total = mp.fsum(mp.mpf(m) for m in masses)
+        grad = [g / total for g in grad]
+        return float(mp.sqrt(abs(inner(grad, grad))))
+
+
+def com_disk_reference(system):
+    """Disk center from the validating log_ratio and log_ratio_inv."""
+    from hypercom import CenterOfMass, log_ratio, log_ratio_inv
+
+    radius = system.radius
+    masses = system.masses()
+    total = math.fsum(masses)
+    if len(masses) == 1:
+        w = complex(system.positions()[0])
+        return CenterOfMass(
+            center=w, log_ratio_mean=log_ratio(w, radius), total_mass=total
+        )
+    coords = [log_ratio(w, radius) for w in system.positions()]
+    mean = complex(
+        math.fsum(m * v.real for m, v in zip(masses, coords)) / total,
+        math.fsum(m * v.imag for m, v in zip(masses, coords)) / total,
+    )
+    return CenterOfMass(
+        center=log_ratio_inv(mean, radius), log_ratio_mean=mean, total_mass=total
+    )
+
+
+def rotation_sweep_reference(system, angles=None):
+    """Rotation sweep that rebuilds and recenters a disk system per angle."""
+    from hypercom import RotationSample, RotationSweep, disk_system, rotate_disk
+
+    if angles is None:
+        angles = [2.0 * math.pi * k / 64 for k in range(64)]
+    base = com_disk_reference(system)
+    samples = []
+    for angle in angles:
+        rotated = disk_system(
+            system.masses(),
+            [rotate_disk(p, angle) for p in system.positions()],
+            system.radius,
+        )
+        com = com_disk_reference(rotated)
+        defect = abs(com.center - rotate_disk(base.center, angle))
+        samples.append(RotationSample(angle=angle, com=com, defect=defect))
+    return RotationSweep(
+        base=base,
+        samples=tuple(samples),
+        max_defect=max(s.defect for s in samples),
+        max_center_abs=max(abs(s.com.center) for s in samples),
+    )
+
+
+def karcher_mean_reference(system, tol=None, max_iter=10_000):
+    """Damped Karcher iteration built from the public log_map and exp_map.
+
+    The same start, gradient, step rule and renormalization as
+    hypercom.karcher_mean; returns the point, or None when the iteration
+    stops without reaching the tolerance.
+    """
+    from hypercom import HPoint, TangentVector, exp_map, log_map
+
+    radius = system.radius
+    tol = tol if tol is not None else 1e-12 * radius
+    points = system.positions()
+    masses = system.masses()
+    if len(points) == 1:
+        return points[0]
+    total = math.fsum(masses)
+
+    def renormalize(x, y, z):
+        factor = radius / math.sqrt(z * z - x * x - y * y)
+        return HPoint(x * factor, y * factor, z * factor)
+
+    def ratio_coth(t):
+        return 1.0 if t < 1e-8 else t / math.tanh(t)
+
+    current = renormalize(
+        math.fsum(m * p.x for m, p in zip(masses, points)) / total,
+        math.fsum(m * p.y for m, p in zip(masses, points)) / total,
+        math.fsum(m * p.z for m, p in zip(masses, points)) / total,
+    )
+    for _ in range(max_iter):
+        logs = [log_map(current, p, radius) for p in points]
+        gx = math.fsum(m * t.v[0] for m, t in zip(masses, logs)) / total
+        gy = math.fsum(m * t.v[1] for m, t in zip(masses, logs)) / total
+        gz = math.fsum(m * t.v[2] for m, t in zip(masses, logs)) / total
+        if math.sqrt(abs(gx * gx + gy * gy - gz * gz)) < tol:
+            return current
+        smoothness = math.fsum(
+            m * ratio_coth(t.norm() / radius) for m, t in zip(masses, logs)
+        ) / total
+        step = 1.0 / smoothness
+        moved = exp_map(
+            TangentVector(base=current, v=(step * gx, step * gy, step * gz)),
+            radius,
+        )
+        current = renormalize(moved.x, moved.y, moved.z)
+    return None

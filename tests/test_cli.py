@@ -345,3 +345,42 @@ def test_exit_code_usage_errors():
     assert run_cli("equilibrium", "--m1", "1").returncode == 1
     assert run_cli("no-such-command").returncode == 1
     assert run_cli("distance", "0", "0", "--radius", "1").returncode == 1
+
+
+def test_equilibrium_rejects_nonpositive_angles():
+    for angles in ("0", "-4"):
+        done = run_cli(
+            "equilibrium", "--m1", "1", "--m2", "2", "--alpha", "0.5",
+            "--radius", "1", "--angles", angles,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert "--angles" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
+def test_output_into_missing_directory(pair_file, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    done = run_cli("com", "--input", str(pair_file), "--output", str(target))
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1
+    assert "cannot write output" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not target.exists()
+
+
+def test_karcher_compare_far_pair_is_a_numerical_failure(tmp_path):
+    # The solver's step leaves the tangent plane for a pair 15R apart;
+    # that is the solver's failure (exit 2), not the input's (exit 1).
+    path = write_system(
+        tmp_path / "far.json",
+        1.0,
+        "hyperboloid",
+        [(1.0, (0.0, 0.0, 1.0)), (2.0, (math.sinh(15.0), 0.0, math.cosh(15.0)))],
+    )
+    done = run_cli("karcher-compare", "--input", str(path))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert "numerical failure" in done.stderr
