@@ -10,7 +10,7 @@ degenerates to the flat weighted mean.
 
 Whether the same point satisfies the geodesic lever rule for generic
 (non-diametric) configurations is deliberately not assumed here; the
-lever_point bisection and the karcher module exist to measure that.
+closed-form lever_point and the karcher module exist to measure that.
 """
 
 from __future__ import annotations
@@ -37,11 +37,6 @@ LINE = "line"
 DISK = "disk"
 HYPERBOLOID = "hyperboloid"
 MODELS = (LINE, DISK, HYPERBOLOID)
-
-# Bisection for the two-body balance point stops when the residual falls
-# below this fraction of the endpoint separation.
-LEVER_RESIDUAL_RTOL = 1e-12
-LEVER_MAX_BISECTIONS = 200
 
 
 def check_mass(mass: float) -> float:
@@ -304,26 +299,14 @@ def to_hyperboloid_system(system: MassedSystem) -> MassedSystem:
 def lever_point(m1, p1, m2, p2, radius: float) -> complex:
     """Balance point on the geodesic segment from p1 to p2.
 
-    Bisection on the curve parameter: the residual grows strictly from
-    -m2 L at p1 to +m1 L at p2, so the zero is unique.  Stops when the
-    residual falls below LEVER_RESIDUAL_RTOL * L; for endpoints so close
-    that distance rounding dominates, the final bracket midpoint is
-    returned (it brackets the true balance point either way).
+    On the constant-speed geodesic from p1 the residual
+    m1 d(p1, c) - m2 d(p2, c) is (m1 + m2) t L - m2 L at parameter t, so
+    the balance point is t = m2 / (m1 + m2) in closed form.  The curve
+    is evaluated from the endpoint nearer the pole: from a point near
+    the rim its large terms would cancel on the way back toward the pole.
     """
     m1 = check_mass(m1)
     m2 = check_mass(m2)
-    segment = geodesic_between(p1, p2, radius)
-    target = LEVER_RESIDUAL_RTOL * segment.length
-    lo, hi = 0.0, 1.0
-    probe = segment.point(0.5)
-    for _ in range(LEVER_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        probe = segment.point(mid)
-        residual = lever_residual(m1, p1, m2, p2, probe, radius)
-        if abs(residual) < target:
-            break
-        if residual < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return probe
+    if abs(complex(p2)) < abs(complex(p1)):
+        return geodesic_between(p2, p1, radius).point(m1 / (m1 + m2))
+    return geodesic_between(p1, p2, radius).point(m2 / (m1 + m2))

@@ -207,6 +207,8 @@ def rotation_sweep(system: MassedSystem, angles=None) -> RotationSweep:
         com = _center(masses, base.total_mass, [w * rot for w in positions], radius)
         defect = abs(com.center - base.center * rot)
         samples.append(RotationSample(angle=angle, com=com, defect=defect))
+    if not samples:
+        raise ValidationError("a rotation sweep needs at least one angle")
     return RotationSweep(
         base=base,
         samples=tuple(samples),

@@ -12,11 +12,14 @@ class NumericalError(ArithmeticError):
 class ConvergenceError(NumericalError):
     """An iteration hit its cap before reaching tolerance.
 
-    Carries the last iterate and the gradient norm it reached so callers
-    can inspect how close the run got.
+    Carries the best iterate, the gradient norm it reached and the
+    number of steps taken, so callers can inspect how close the run got.
     """
 
-    def __init__(self, message, last_iterate=None, gradient_norm=None):
+    def __init__(
+        self, message, last_iterate=None, gradient_norm=None, iterations=None
+    ):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.gradient_norm = gradient_norm
+        self.iterations = iterations

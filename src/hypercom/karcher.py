@@ -1,16 +1,28 @@
 """Weighted Riemannian barycenter on the hyperboloid sheet.
 
 Independent cross-check for the disk averaging formula: the barycenter
-here is the minimizer of sum m_k d(x, x_k)^2, found by gradient
-descent through the exponential map, x <- exp_x(step * mean of
-m_k log_x(x_k)).  On a globally negatively curved surface the
-objective is strictly geodesically convex with Hessian eigenvalues
-between 1 and (d/R) coth(d/R), so the minimizer is unique; the step is
-the inverse of the mass-weighted mean of (d_k/R) coth(d_k/R), the
-local smoothness bound.  For tight clusters that factor is 1 and this
-is the plain fixed-point iteration, but a unit step overshoots and
-oscillates once points spread beyond about 2R, so the damping is what
-makes convergence unconditional.
+here is the minimizer of sum m_k d(x, x_k)^2 (Karcher, CPAM 1977),
+found by Newton's method.  Each iteration applies the Lorentz boost
+that sends the iterate to the pole (0, 0, R), where the log of particle
+k is the planar vector d_k u_k and the tangent Hessian of half the
+mass-weighted mean of d_k^2 is the mean of
+m_k [u_k u_k^T + (d_k/R) coth(d_k/R) (I - u_k u_k^T)].  Both of its
+eigenvalues are at least 1, so the objective is strictly geodesically
+convex, the minimizer is unique and the Newton direction points
+downhill.  The step is taken by the exponential map at the pole and
+boosted back.  Far from the minimizer a Newton step can overshoot; when
+the objective rises, the iteration returns to the point it left and
+takes the damped gradient step instead, of length 1 / mean of
+(d_k/R) coth(d_k/R), the local smoothness bound.
+
+The boost is evaluated from each point's rapidity asinh(r/R) and
+heading in the xy plane, never from differences of ambient coordinates,
+so what rounding costs grows with a particle's distance from the
+iterate rather than from the pole: pairs 40R apart on a diameter
+converge in one step.  Where doubles fix the particles too coarsely
+for the tolerance (far from the pole, off the axes), the gradient
+stops decreasing; the iteration then raises ConvergenceError after
+STALL_STEPS evaluations instead of running to max_iter.
 
 For two particles the minimizer lies on their geodesic and satisfies
 the lever rule m1 d(x, x1) = m2 d(x, x2), so it coincides with
@@ -36,6 +48,11 @@ from .geometry import (
 
 # Tangency of a vector at its base point, relative to the product scale.
 TANGENT_TOL = 1e-10
+# Evaluations in a row that lower neither the smallest gradient norm nor
+# the smallest objective seen, after which the barycenter iteration has
+# stalled at its rounding floor.  (Far from the minimizer the gradient
+# norm can rise for several steps while the objective falls.)
+STALL_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -97,17 +114,12 @@ def exp_map(vector: TangentVector, radius: float) -> HPoint:
         raise ValidationError(
             f"vector {tuple(vector.v)!r} is not tangent at {tuple(base)!r}"
         )
-    return _exp(base, vector.v, radius)
-
-
-def _exp(base: HPoint, v, radius: float) -> HPoint:
-    """Kernel of exp_map for a validated base point and tangent vector."""
-    norm = _norm(v)
+    norm = _norm(vector.v)
     if norm == 0.0:
         return base
     ch = math.cosh(norm / radius)
     sh = radius * math.sinh(norm / radius) / norm
-    vx, vy, vz = v
+    vx, vy, vz = vector.v
     return HPoint(ch * base.x + sh * vx, ch * base.y + sh * vy, ch * base.z + sh * vz)
 
 
@@ -119,14 +131,10 @@ def log_map(p, q, radius: float) -> TangentVector:
     """
     radius = check_radius(radius)
     p = check_hpoint(p, radius)
-    return TangentVector(base=p, v=_log(p, check_hpoint(q, radius), radius))
-
-
-def _log(p: HPoint, q: HPoint, radius: float) -> tuple[float, float, float]:
-    """Kernel of log_map for validated points: the components of the vector."""
+    q = check_hpoint(q, radius)
     dist = _distance(p, q, radius)
     if dist == 0.0:
-        return (0.0, 0.0, 0.0)
+        return TangentVector(base=p, v=(0.0, 0.0, 0.0))
     coef = minkowski_inner(p, q) / (radius * radius)
     tx = q.x + coef * p.x
     ty = q.y + coef * p.y
@@ -134,7 +142,7 @@ def _log(p: HPoint, q: HPoint, radius: float) -> tuple[float, float, float]:
     # The projected chord has Minkowski norm R sinh(d/R) exactly, so the
     # rescale to arclength never squares the (possibly huge) components.
     scale = dist / (radius * math.sinh(dist / radius))
-    return (tx * scale, ty * scale, tz * scale)
+    return TangentVector(base=p, v=(tx * scale, ty * scale, tz * scale))
 
 
 def _ratio_coth(t: float) -> float:
@@ -145,19 +153,6 @@ def _ratio_coth(t: float) -> float:
     return t / math.tanh(t)
 
 
-def _renormalize(x: float, y: float, z: float, radius: float) -> HPoint:
-    # Rescale onto the sheet to kill rounding drift; z > 0 is preserved.
-    # Far from the pole z^2 - x^2 - y^2 can cancel to zero or below.
-    square = z * z - x * x - y * y
-    if not square > 0.0:
-        raise NumericalError(
-            f"point {(x, y, z)!r} is not timelike in double precision, so it "
-            f"cannot be rescaled onto the sheet"
-        )
-    factor = radius / math.sqrt(square)
-    return HPoint(x * factor, y * factor, z * factor)
-
-
 def _check_iterate(point: HPoint, radius: float) -> None:
     # The solver's own iterate; losing it is a numerical failure, not bad input.
     try:
@@ -166,23 +161,126 @@ def _check_iterate(point: HPoint, radius: float) -> None:
         raise NumericalError(f"barycenter iterate left the sheet: {exc}") from exc
 
 
-def karcher_mean(
+@dataclass(frozen=True)
+class KarcherResult:
+    """Barycenter, the number of steps taken to it and its gradient norm."""
+
+    point: HPoint
+    iterations: int
+    gradient_norm: float
+
+
+def _polar(p, radius: float) -> tuple[float, float, float]:
+    # Rapidity asinh(r/R) and unit heading of the xy part of a sheet
+    # point; z is implied by them, so its rounding never enters.
+    r = math.hypot(p[0], p[1])
+    if r == 0.0:
+        return 0.0, 1.0, 0.0
+    return math.asinh(r / radius), p[0] / r, p[1] / r
+
+
+def _sheet_point(a: float, ex: float, ey: float, radius: float) -> HPoint:
+    s = radius * math.sinh(a)
+    return HPoint(s * ex, s * ey, radius * math.cosh(a))
+
+
+def _minkowski_start(particles, total: float) -> tuple[float, float, float]:
+    """Polar form of the mass-weighted Minkowski mean, rescaled onto the sheet.
+
+    The rescale needs z - |xy| of the mean vector; summed from the
+    positive terms exp(-b) + 2 sinh(b) sin^2(gap/2) of each particle
+    (rapidity b, heading gap from the mean's heading), it does not
+    cancel to zero for points far from the pole.  Units of R.
+    """
+    mx = math.fsum(m * sb * ux for m, _, sb, ux, _ in particles) / total
+    my = math.fsum(m * sb * uy for m, _, sb, _, uy in particles) / total
+    r = math.hypot(mx, my)
+    if r == 0.0:
+        return 0.0, 1.0, 0.0
+    vx, vy = mx / r, my / r
+    below = math.fsum(
+        m * (math.exp(-b) + 0.5 * sb * ((ux - vx) ** 2 + (uy - vy) ** 2))
+        for m, b, sb, ux, uy in particles
+    ) / total
+    above = math.fsum(m * math.cosh(b) for m, b, _, _, _ in particles) / total + r
+    return math.asinh(r / math.sqrt(below * above)), vx, vy
+
+
+def _derivatives(particles, total: float, a: float, ex: float, ey: float):
+    """Objective, gradient, Hessian and smoothness at the iterate (a, ex, ey).
+
+    The boost that sends the iterate to the pole maps particle k to
+    (sinh(b - a) - 2 cosh(a) sinh(b) h, sinh(b) sin(gap), .) in the basis
+    (e, e rotated by a right angle), where h = sin^2(gap/2) and gap is
+    the heading difference; its distance d from the pole has
+    sinh^2(d/2) = sinh^2((b - a)/2) + sinh(a) sinh(b) h.  Every term is
+    a product or a sum of like signs, so nothing cancels between large
+    ambient coordinates.  Mass-weighted means, in units of R.
+    """
+    ca, sa = math.cosh(a), math.sinh(a)
+    rows = []
+    for m, b, sb, ux, uy in particles:
+        # sinh(b) h first: it is exactly 0 on a common diameter, where
+        # sinh(a) sinh(b) alone can overflow.
+        sbh = sb * 0.25 * ((ux - ex) ** 2 + (uy - ey) ** 2)
+        half = math.sinh(0.5 * (b - a))
+        t = 2.0 * math.asinh(math.sqrt(half * half + sa * sbh))
+        along = 2.0 * half * math.sqrt(1.0 + half * half) - 2.0 * ca * sbh
+        across = sb * (ex * uy - ey * ux)
+        norm = math.hypot(along, across)
+        if norm == 0.0:
+            rows.append((0.0, 0.0, 0.0, m, 0.0, m, m))
+            continue
+        vx, vy = along / norm, across / norm
+        f = _ratio_coth(t)
+        rows.append((
+            m * t * t,
+            m * t * vx,
+            m * t * vy,
+            m * (vx * vx + f * vy * vy),
+            m * (1.0 - f) * vx * vy,
+            m * (vy * vy + f * vx * vx),
+            m * f,
+        ))
+    return [math.fsum(column) / total for column in zip(*rows)]
+
+
+def _step(a: float, ex: float, ey: float, de: float, dp: float):
+    """Iterate reached by the pole tangent vector (de, dp), boosted back."""
+    tau = math.hypot(de, dp)
+    if tau == 0.0:
+        return a, ex, ey
+    st = math.sinh(tau)
+    along = math.cosh(a) * st * (de / tau) + math.sinh(a) * math.cosh(tau)
+    across = st * (dp / tau)
+    r = math.hypot(along, across)
+    if r == 0.0:
+        return 0.0, 1.0, 0.0
+    return math.asinh(r), (along * ex - across * ey) / r, (along * ey + across * ex) / r
+
+
+def karcher_solve(
     system: MassedSystem,
     settings: KarcherSettings | None = None,
     initial: HPoint | None = None,
-) -> HPoint:
-    """Weighted Frechet mean of a hyperboloid-model system.
+) -> KarcherResult:
+    """Weighted Frechet mean of a hyperboloid-model system, with its statistics.
 
     Starts from the mass-weighted Minkowski average rescaled onto the
     sheet (always on-sheet and inside the convex hull; ``initial``
-    overrides it, and the limit does not depend on the start) and
-    iterates until the mean log vector is shorter than the tolerance.
-    Raises ConvergenceError, with the last iterate and gradient norm
-    attached, if the cap is hit first, and NumericalError if rounding
-    takes an iterate off the sheet or a step off its tangent plane.
+    overrides it, and the limit does not depend on the start) and takes
+    Newton steps until the mean log vector is shorter than the
+    tolerance.  A Newton step that raises the objective is replaced by
+    the damped gradient step from the point it left.  Raises
+    ConvergenceError when neither the gradient norm nor the objective
+    has reached a new minimum for STALL_STEPS evaluations (the run is
+    at its rounding floor) or after ``max_iter`` steps, with the iterate
+    of smallest gradient norm, that norm and the step count attached;
+    raises NumericalError if rounding takes an iterate off the sheet or
+    overflows the gradient.
 
     The particles were validated when the system was built; the loop
-    checks only its own iterate and step, once per iteration.
+    checks only its own iterate, once per iteration.
     """
     if system.model != HYPERBOLOID:
         raise ValidationError(
@@ -193,48 +291,78 @@ def karcher_mean(
     radius = system.radius
     tol = settings.tol if settings.tol is not None else 1e-12 * radius
     points = [p.position for p in system.particles]
-    masses = [p.mass for p in system.particles]
     if len(points) == 1:
-        return points[0]
+        return KarcherResult(points[0], 0, 0.0)
+    masses = [p.mass for p in system.particles]
     total = math.fsum(masses)
+    particles = []
+    for m, p in zip(masses, points):
+        b, ux, uy = _polar(p, radius)
+        particles.append((m, b, math.sinh(b), ux, uy))
     if initial is not None:
-        current = check_hpoint(initial, radius)
+        a, ex, ey = _polar(check_hpoint(initial, radius), radius)
     else:
-        current = _renormalize(
-            math.fsum(m * p.x for m, p in zip(masses, points)) / total,
-            math.fsum(m * p.y for m, p in zip(masses, points)) / total,
-            math.fsum(m * p.z for m, p in zip(masses, points)) / total,
-            radius,
+        a, ex, ey = _minkowski_start(particles, total)
+    best_norm, best_point, best_objective, since_best = math.inf, None, math.inf, 0
+    # Objective and damped step at the point the last Newton step left.
+    left = None
+    steps = 0
+    while True:
+        point = _sheet_point(a, ex, ey, radius)
+        _check_iterate(point, radius)
+        objective, ge, gp, hee, hep, hpp, smoothness = _derivatives(
+            particles, total, a, ex, ey
         )
-    gradient_norm = math.inf
-    for _ in range(settings.max_iter):
-        _check_iterate(current, radius)
-        logs = [_log(current, p, radius) for p in points]
-        gx = math.fsum(m * v[0] for m, v in zip(masses, logs)) / total
-        gy = math.fsum(m * v[1] for m, v in zip(masses, logs)) / total
-        gz = math.fsum(m * v[2] for m, v in zip(masses, logs)) / total
-        # A rounded-negative square means the gradient is at the noise
-        # floor; sqrt(|.|) estimates that floor instead of claiming zero.
-        gradient_norm = math.sqrt(abs(gx * gx + gy * gy - gz * gz))
-        if gradient_norm < tol:
-            return current
-        # Inverse of the smoothness bound sum of m_k (d_k/R) coth(d_k/R);
-        # never above 1, and exactly 1 in the coincident limit.
-        smoothness = math.fsum(
-            m * _ratio_coth(_norm(v) / radius) for m, v in zip(masses, logs)
-        ) / total
-        step = 1.0 / smoothness
-        v = (step * gx, step * gy, step * gz)
-        if not _is_tangent(current, v, radius):
+        gradient_norm = radius * math.hypot(ge, gp)
+        if not math.isfinite(gradient_norm):
             raise NumericalError(
-                f"barycenter step {v!r} left the tangent plane at "
-                f"{tuple(current)!r} (gradient norm {gradient_norm!r})"
+                f"barycenter gradient at {tuple(point)!r} is not finite"
             )
-        moved = _exp(current, v, radius)
-        current = _renormalize(moved.x, moved.y, moved.z, radius)
-    raise ConvergenceError(
-        f"barycenter iteration did not reach {tol!r} within "
-        f"{settings.max_iter} steps (gradient norm {gradient_norm!r})",
-        last_iterate=current,
-        gradient_norm=gradient_norm,
-    )
+        if gradient_norm < tol:
+            return KarcherResult(point, steps, gradient_norm)
+        since_best += 1
+        if gradient_norm < best_norm:
+            best_norm, best_point, since_best = gradient_norm, point, 0
+        if objective < best_objective:
+            best_objective, since_best = objective, 0
+        if since_best >= STALL_STEPS:
+            raise ConvergenceError(
+                f"barycenter iteration stalled at gradient norm {best_norm!r}, "
+                f"above the tolerance {tol!r}: neither it nor the objective "
+                f"decreased in {STALL_STEPS} steps",
+                last_iterate=best_point,
+                gradient_norm=best_norm,
+                iterations=steps,
+            )
+        if steps == settings.max_iter:
+            raise ConvergenceError(
+                f"barycenter iteration did not reach {tol!r} within "
+                f"{settings.max_iter} steps (gradient norm {best_norm!r})",
+                last_iterate=best_point,
+                gradient_norm=best_norm,
+                iterations=steps,
+            )
+        if left is not None and objective > left[0]:
+            # The Newton step went uphill: take the damped gradient step
+            # from the point it left instead.
+            _, a, ex, ey, (de, dp) = left
+            left = None
+        else:
+            # Inverse of the smoothness bound sum of m_k (d_k/R) coth(d_k/R)
+            # for the fallback; never above 1, exactly 1 in the coincident limit.
+            damped = (ge / smoothness, gp / smoothness)
+            left = (objective, a, ex, ey, damped)
+            det = hee * hpp - hep * hep
+            de = (hpp * ge - hep * gp) / det
+            dp = (hee * gp - hep * ge) / det
+        a, ex, ey = _step(a, ex, ey, de, dp)
+        steps += 1
+
+
+def karcher_mean(
+    system: MassedSystem,
+    settings: KarcherSettings | None = None,
+    initial: HPoint | None = None,
+) -> HPoint:
+    """Weighted Frechet mean of a hyperboloid-model system: karcher_solve's point."""
+    return karcher_solve(system, settings, initial).point

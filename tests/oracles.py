@@ -6,10 +6,11 @@ balance points from bisection on the lever relation, and the averaging
 formula from 30+ digit complex arithmetic.  Values frozen into tests
 were produced by these functions.
 
-The two reference loops at the end are different in kind: they rebuild
-the rotation sweep and the barycenter iteration from the validating
-public functions only, so that the library's trusted-kernel versions
-can be held to exact equality with them.
+The reference loops at the end are different in kind: they rebuild the
+centers, the rotation sweep and the damped barycenter iteration from
+the validating public functions only.  The library's trusted-kernel
+centers and sweep are held to exact equality with them; its Newton
+barycenter, to the same point within rounding.
 """
 
 import math
@@ -111,7 +112,10 @@ def karcher_gradient_norm_highprec(masses, points, point, radius, dps=40):
 
     Zero exactly at the weighted Frechet mean.  Each log vector is
     (d / (R sinh(d/R))) (q - c p) with c = -<p, q>/R^2 and d = R acosh c,
-    evaluated in high precision from the input numbers.
+    evaluated in high precision for the sheet points over the input
+    (x, y).  Far out, the z of a double triple is off the sheet by
+    rounding that the inner product multiplies by the other point's
+    height, so z is recomputed rather than taken as given.
     """
     with mp.workdps(dps):
         r = mp.mpf(radius)
@@ -119,10 +123,14 @@ def karcher_gradient_norm_highprec(masses, points, point, radius, dps=40):
         def inner(a, b):
             return a[0] * b[0] + a[1] * b[1] - a[2] * b[2]
 
-        x = [mp.mpf(c) for c in point]
+        def on_sheet(p):
+            x, y = mp.mpf(p[0]), mp.mpf(p[1])
+            return [x, y, mp.sqrt(r * r + x * x + y * y)]
+
+        x = on_sheet(point)
         grad = [mp.mpf(0)] * 3
         for m, q in zip(masses, points):
-            q = [mp.mpf(c) for c in q]
+            q = on_sheet(q)
             c = -inner(x, q) / (r * r)
             if c <= 1:
                 continue
@@ -132,6 +140,50 @@ def karcher_gradient_norm_highprec(masses, points, point, radius, dps=40):
         total = mp.fsum(mp.mpf(m) for m in masses)
         grad = [g / total for g in grad]
         return float(mp.sqrt(abs(inner(grad, grad))))
+
+
+def lever_point_bisection(m1, p1, m2, p2, radius, rtol=1e-12, max_steps=200):
+    """Two-body balance point by bisection on the geodesic parameter.
+
+    The residual m1 d(p1, c) - m2 d(p2, c) grows strictly from -m2 L at
+    p1 to +m1 L at p2; halving stops when it falls below rtol * L, or
+    returns the last midpoint when distance rounding keeps it above.
+    Uses only geodesic distances, never the closed form t = m2/(m1 + m2).
+    """
+    from hypercom import geodesic_between, lever_residual
+
+    segment = geodesic_between(p1, p2, radius)
+    target = rtol * segment.length
+    lo, hi = 0.0, 1.0
+    probe = segment.point(0.5)
+    for _ in range(max_steps):
+        mid = 0.5 * (lo + hi)
+        probe = segment.point(mid)
+        residual = lever_residual(m1, p1, m2, p2, probe, radius)
+        if abs(residual) < target:
+            break
+        if residual < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return probe
+
+
+def lever_residual_highprec(m1, p1, m2, p2, probe, radius, dps=40):
+    """m1 d(p1, c) - m2 d(p2, c) from the disk distance formula in mpmath."""
+    with mp.workdps(dps):
+        r = mp.mpf(radius)
+
+        def distance(a, b):
+            a, b = mp.mpc(a), mp.mpc(b)
+            gap = 2 * r * r * abs(a - b) ** 2 / (
+                (r * r - abs(a) ** 2) * (r * r - abs(b) ** 2)
+            )
+            return r * mp.acosh(1 + gap)
+
+        return float(
+            mp.mpf(m1) * distance(p1, probe) - mp.mpf(m2) * distance(p2, probe)
+        )
 
 
 def com_disk_reference(system):
@@ -184,9 +236,11 @@ def rotation_sweep_reference(system, angles=None):
 def karcher_mean_reference(system, tol=None, max_iter=10_000):
     """Damped Karcher iteration built from the public log_map and exp_map.
 
-    The same start, gradient, step rule and renormalization as
-    hypercom.karcher_mean; returns the point, or None when the iteration
-    stops without reaching the tolerance.
+    Gradient descent from the normalized Minkowski mean with step
+    1 / mean of m_k (d_k/R) coth(d_k/R), an independent route to the
+    point hypercom.karcher_mean reaches by Newton steps; returns the
+    point, or None when the iteration stops without reaching the
+    tolerance.
     """
     from hypercom import HPoint, TangentVector, exp_map, log_map
 

@@ -370,9 +370,40 @@ def test_output_into_missing_directory(pair_file, tmp_path):
     assert not target.exists()
 
 
+def _boosted(point, rapidity, heading):
+    # Lorentz boost along x by ``rapidity``, then rotation by ``heading``.
+    x, y, z = point
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    bx, bz = ch * x + sh * z, sh * x + ch * z
+    c, s = math.cos(heading), math.sin(heading)
+    return (c * bx - s * y, s * bx + c * y, bz)
+
+
 def test_karcher_compare_far_pair_is_a_numerical_failure(tmp_path):
-    # The solver's step leaves the tangent plane for a pair 15R apart;
-    # that is the solver's failure (exit 2), not the input's (exit 1).
+    # A pair 2R apart, 20R from the pole off both axes: doubles fix each
+    # point only to about 5e-8 R across its heading, so the barycenter
+    # stalls above the default tolerance.  That is the solver's failure
+    # (exit 2), not the input's (exit 1).
+    near = _boosted((0.0, 0.0, 1.0), 20.0, 1.0)
+    far = _boosted(
+        (math.sinh(2.0) * math.cos(1.0), math.sinh(2.0) * math.sin(1.0), math.cosh(2.0)),
+        20.0,
+        1.0,
+    )
+    path = write_system(
+        tmp_path / "far.json", 1.0, "hyperboloid", [(1.0, near), (2.0, far)]
+    )
+    done = run_cli("karcher-compare", "--input", str(path))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert "numerical failure" in done.stderr
+    assert "stalled" in done.stderr
+
+
+def test_karcher_compare_far_pair_on_the_axis_converges(tmp_path):
+    # Mass 1 at the pole, mass 2 at 15R on the x axis: the lever rule
+    # m1 d1 = m2 d2 puts the mean at 10R.
     path = write_system(
         tmp_path / "far.json",
         1.0,
@@ -380,7 +411,8 @@ def test_karcher_compare_far_pair_is_a_numerical_failure(tmp_path):
         [(1.0, (0.0, 0.0, 1.0)), (2.0, (math.sinh(15.0), 0.0, math.cosh(15.0)))],
     )
     done = run_cli("karcher-compare", "--input", str(path))
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1
-    assert "numerical failure" in done.stderr
+    assert done.returncode == 0
+    results = json.loads(done.stdout)["results"]
+    x, y, z = results["karcher_hyperboloid"]
+    assert math.asinh(x) == pytest.approx(10.0, abs=1e-12)
+    assert y == 0.0

@@ -174,6 +174,13 @@ def test_sweep_base_at_zero_angle_has_no_defect():
     assert sweep.samples[0].defect == 0.0
 
 
+def test_sweep_rejects_empty_angle_list():
+    system = diametric_system(1.0, 2.0, 0.5, 1.0)
+    for angles in ([], (), iter([])):
+        with pytest.raises(ValidationError, match="at least one angle"):
+            rotation_sweep(system, angles)
+
+
 # --- triples --------------------------------------------------------------------
 
 

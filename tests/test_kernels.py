@@ -1,27 +1,37 @@
-"""Trusted kernels against the validating loops they replace.
+"""Trusted kernels against the validating loops and solvers they replace.
 
-The centers, rotation_sweep and karcher_mean skip revalidating what
-the system already validated, but keep the arithmetic of the validating
-coordinate maps, of the per-angle rebuild and of the public
-log_map/exp_map loop; the references in tests/oracles.py are those
-paths, so agreement is exact equality, not a tolerance.
+The centers and rotation_sweep skip revalidating what the system
+already validated, but keep the arithmetic of the validating coordinate
+maps and of the per-angle rebuild; the references in tests/oracles.py
+are those paths, so agreement is exact equality, not a tolerance.
+karcher_mean takes Newton steps where the reference loop takes damped
+gradient steps, and lever_point evaluates a closed form where the
+reference bisects, so those agree with their references within rounding.
 """
 
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercom import (
+    ConvergenceError,
     HPoint,
+    KarcherResult,
     NumericalError,
+    ValidationError,
     com_disk,
     com_hyperboloid,
+    disk_distance,
     disk_system,
+    hyperboloid_distance,
     hyperboloid_system,
     karcher_mean,
+    karcher_solve,
+    lever_point,
     project,
     rotation_sweep,
     unproject,
@@ -31,6 +41,8 @@ from oracles import (
     com_disk_reference,
     karcher_gradient_norm_highprec,
     karcher_mean_reference,
+    lever_point_bisection,
+    lever_residual_highprec,
     rotation_sweep_reference,
 )
 
@@ -89,21 +101,131 @@ def test_rotation_sweep_equals_per_angle_rebuild(system, angles):
 @settings(max_examples=150, deadline=None)
 @given(system=hyperboloid_systems())
 def test_karcher_mean_equals_public_map_loop(system):
-    assert karcher_mean(system) == karcher_mean_reference(system)
+    # Newton steps and the reference's damped steps reach the same
+    # minimizer by different arithmetic, so they agree within rounding.
+    radius = system.radius
+    mean = karcher_mean(system)
+    reference = karcher_mean_reference(system)
+    assert hyperboloid_distance(mean, reference, radius) <= 1e-10 * radius
+    gradient = karcher_gradient_norm_highprec(
+        system.masses(), system.positions(), mean, radius
+    )
+    assert gradient <= 1e-10 * max(radius, mean.z)
 
 
-@pytest.mark.parametrize("spread", [12.0, 15.0, 25.0, 40.0])
-def test_karcher_far_pair_converges_or_fails_numerically(spread):
-    # In double precision the damped iteration cannot place every such
-    # mean; when it fails, the failure is the solver's, never the input's.
+@settings(max_examples=150, deadline=None)
+@given(system=hyperboloid_systems())
+def test_karcher_newton_iterations_inside_the_window(system):
+    result = karcher_solve(system)
+    assert isinstance(result, KarcherResult)
+    assert result.point == karcher_mean(system)
+    assert result.iterations <= 6
+    assert result.gradient_norm < 1e-12 * system.radius
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=hyperboloid_systems(), data=st.data())
+def test_karcher_mean_bit_identical_under_reordering(system, data):
+    order = data.draw(st.permutations(range(len(system.particles))))
+    masses, points = system.masses(), system.positions()
+    shuffled = hyperboloid_system(
+        [masses[k] for k in order], [points[k] for k in order], system.radius
+    )
+    assert karcher_mean(shuffled) == karcher_mean(system)
+
+
+def _far_pair(spread):
     points = [
         HPoint(0.0, 0.0, 1.0),
         HPoint(math.sinh(spread), 0.0, math.cosh(spread)),
     ]
-    system = hyperboloid_system([1.0, 2.0], points, 1.0)
+    return points, hyperboloid_system([1.0, 2.0], points, 1.0)
+
+
+@pytest.mark.parametrize("spread", [12.0, 15.0, 20.0, 25.0, 40.0])
+def test_karcher_far_pair_converges_or_fails_numerically(spread):
+    # When the solver cannot place such a mean in double precision, the
+    # failure is the solver's, never the input's.
+    points, system = _far_pair(spread)
     try:
         mean = karcher_mean(system)
     except NumericalError:
         return
     gradient = karcher_gradient_norm_highprec([1.0, 2.0], points, mean, 1.0)
     assert gradient <= 1e-10 * max(1.0, mean.z)
+
+
+def _boosted(point, rapidity, heading):
+    # Lorentz boost along x by ``rapidity``, then rotation by ``heading``.
+    x, y, z = point
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    bx, bz = ch * x + sh * z, sh * x + ch * z
+    c, s = math.cos(heading), math.sin(heading)
+    return HPoint(c * bx - s * y, s * bx + c * y, bz)
+
+
+def _off_axis_far_pair(rapidity):
+    # A pair 2R apart whose midpoint region lies ``rapidity`` R from the
+    # pole off both axes; doubles fix each point only to about
+    # 1e-16 sinh(rapidity) R across its heading.
+    points = [
+        _boosted((0.0, 0.0, 1.0), rapidity, 1.0),
+        _boosted((math.sinh(2.0) * math.cos(1.0), math.sinh(2.0) * math.sin(1.0),
+                  math.cosh(2.0)), rapidity, 1.0),
+    ]
+    return points, hyperboloid_system([1.0, 2.0], points, 1.0)
+
+
+def test_karcher_far_pairs_stop_early():
+    # On the axis every far pair converges; off the axes a pair 20R out
+    # stalls at its rounding floor.  Neither runs to max_iter.
+    for spread in range(12, 41, 2):
+        _, system = _far_pair(float(spread))
+        assert karcher_solve(system).iterations <= 50
+    points, system = _off_axis_far_pair(20.0)
+    with pytest.raises(ConvergenceError) as info:
+        karcher_solve(system)
+    error = info.value
+    assert "stalled" in str(error)
+    assert error.iterations <= 50
+    assert error.gradient_norm > 1e-12
+    best = error.last_iterate
+    gradient = karcher_gradient_norm_highprec([1.0, 2.0], points, best, 1.0)
+    assert gradient <= 1e-10 * best.z
+
+
+def _near_rim(rng, radius):
+    # |w| = R (1 - delta) with delta log-uniform in [1e-6, 1e-2].
+    reach = 1.0 - 10.0 ** rng.uniform(-6.0, -2.0)
+    return radius * reach * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+def test_lever_point_no_worse_than_bisection_near_the_rim():
+    rng = np.random.default_rng(41)
+    worst_closed = worst_bisection = 0.0
+    for k in range(150):
+        radius = float(rng.choice(RADII))
+        m1, m2 = (float(m) for m in rng.uniform(0.1, 10.0, 2))
+        inner = radius * 0.999999 * math.sqrt(rng.uniform()) * cmath.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi)
+        )
+        w1, w2 = inner, _near_rim(rng, radius)
+        if k % 2:
+            w1, w2 = w2, w1
+        length = disk_distance(w1, w2, radius)
+        scale = (m1 + m2) * max(length, radius)
+        closed = lever_point(m1, w1, m2, w2, radius)
+        worst_closed = max(
+            worst_closed,
+            abs(lever_residual_highprec(m1, w1, m2, w2, closed, radius)) / scale,
+        )
+        try:
+            bisected = lever_point_bisection(m1, w1, m2, w2, radius)
+        except ValidationError:
+            # Bisection probes from a near-rim start can leave the sheet.
+            continue
+        worst_bisection = max(
+            worst_bisection,
+            abs(lever_residual_highprec(m1, w1, m2, w2, bisected, radius)) / scale,
+        )
+    assert worst_closed <= worst_bisection
