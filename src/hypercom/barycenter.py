@@ -18,9 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ValidationError
 from .geometry import (
+    BOUNDARY_MARGIN,
     HPoint,
     check_disk_point,
     check_hpoint,
@@ -56,9 +58,19 @@ class Particle:
 
 @dataclass(frozen=True)
 class MassedSystem:
-    """Nonempty ordered collection of particles on one model at one radius."""
+    """Nonempty ordered system of massed particles on one model at one radius.
 
-    particles: tuple[Particle, ...]
+    Stored as two columns of equal length: ``mass_column`` holds the
+    masses as floats, ``position_column`` the positions (complex for the
+    disk, float for the line, HPoint for the hyperboloid).  Build systems
+    with line_system, disk_system or hyperboloid_system; construction
+    validates the radius, the model tag and every particle, so the
+    kernels that read the columns trust them.  ``particles`` builds the
+    per-particle view on request.
+    """
+
+    mass_column: tuple[float, ...]
+    position_column: tuple
     radius: float
     model: str = DISK
 
@@ -66,26 +78,38 @@ class MassedSystem:
         check_radius(self.radius)
         if self.model not in MODELS:
             raise ValidationError(f"unknown model tag {self.model!r}")
-        if not self.particles:
+        masses, positions = self.mass_column, self.position_column
+        if not masses:
             raise ValidationError("a system needs at least one particle")
-        for particle in self.particles:
-            check_mass(particle.mass)
-            if self.model == LINE:
-                check_interval_point(particle.position, self.radius)
-            elif self.model == DISK:
-                check_disk_point(particle.position, self.radius)
-            else:
-                check_hpoint(particle.position, self.radius)
+        if len(masses) != len(positions):
+            raise ValidationError(
+                f"{len(masses)} masses for {len(positions)} positions"
+            )
+        valid = _masses_valid(masses)
+        if valid and self.model == HYPERBOLOID:
+            for p in positions:
+                check_hpoint(p, self.radius)
+        elif not (valid and _inside(positions, self.radius)):
+            # Walk the particles in order to raise the first error.
+            check_position = _POSITION_CHECKS[self.model]
+            for m, p in zip(masses, positions):
+                check_mass(m)
+                check_position(p, self.radius)
+
+    @property
+    def particles(self) -> tuple[Particle, ...]:
+        """Per-particle records, built from the columns on each access."""
+        return tuple(map(Particle, self.mass_column, self.position_column))
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(p.mass for p in self.particles)
+        return math.fsum(self.mass_column)
 
     def masses(self) -> list[float]:
-        return [p.mass for p in self.particles]
+        return list(self.mass_column)
 
     def positions(self) -> list:
-        return [p.position for p in self.particles]
+        return list(self.position_column)
 
 
 def line_system(masses, positions, radius: float) -> MassedSystem:
@@ -107,10 +131,50 @@ def _system(masses, positions, radius, model, coerce) -> MassedSystem:
         raise ValidationError(
             f"{len(masses)} masses for {len(positions)} positions"
         )
-    particles = tuple(
-        Particle(float(m), coerce(p)) for m, p in zip(masses, positions)
-    )
-    return MassedSystem(particles=particles, radius=radius, model=model)
+    try:
+        mass_column = tuple(map(float, masses))
+        position_column = tuple(map(coerce, positions))
+    except (TypeError, ValueError):
+        # Convert particle by particle to raise the first error in order.
+        for m, p in zip(masses, positions):
+            float(m)
+            coerce(p)
+        raise
+    return MassedSystem(mass_column, position_column, radius, model)
+
+
+_POSITION_CHECKS = {
+    LINE: check_interval_point,
+    DISK: check_disk_point,
+    HYPERBOLOID: check_hpoint,
+}
+
+
+def _masses_valid(masses) -> bool:
+    """Whether check_mass accepts every float of a nonempty sequence."""
+    return all(map(math.isfinite, masses)) and min(masses) > 0.0
+
+
+def _inside(positions, radius: float) -> bool:
+    """Whether every disk or line point clears the rim band.
+
+    The same comparison as check_disk_point and check_interval_point;
+    a NaN or infinite point has a NaN or infinite modulus and fails it.
+    """
+    limit = radius * (1.0 - BOUNDARY_MARGIN)
+    return all(map(limit.__gt__, map(abs, positions)))
+
+
+def _checked_masses(masses) -> list[float]:
+    """[check_mass(m) for m in masses], in one pass when every mass is valid."""
+    masses = list(masses)
+    try:
+        floats = list(map(float, masses))
+        if floats and _masses_valid(floats):
+            return floats
+    except (TypeError, ValueError):
+        pass
+    return [check_mass(m) for m in masses]
 
 
 @dataclass(frozen=True)
@@ -162,16 +226,11 @@ def com_line(system: MassedSystem) -> float:
     """
     _require_model(system, LINE)
     radius = system.radius
-    if len(system.particles) == 1:
-        return float(system.particles[0].position)
-    total = math.fsum(p.mass for p in system.particles)
-    mean = (
-        math.fsum(
-            p.mass * math.log((radius + p.position) / (radius - p.position))
-            for p in system.particles
-        )
-        / total
-    )
+    masses, positions = system.mass_column, system.position_column
+    if len(positions) == 1:
+        return float(positions[0])
+    coords = [math.log((radius + u) / (radius - u)) for u in positions]
+    mean = math.fsum(map(mul, masses, coords)) / math.fsum(masses)
     return radius * math.tanh(0.5 * mean)
 
 
@@ -183,9 +242,9 @@ def com_disk(system: MassedSystem) -> CenterOfMass:
     its own position.
     """
     _require_model(system, DISK)
-    masses = system.masses()
+    masses = system.mass_column
     return _center(
-        masses, math.fsum(masses), system.positions(), float(system.radius)
+        masses, math.fsum(masses), system.position_column, float(system.radius)
     )
 
 
@@ -206,8 +265,8 @@ def _center(masses, total: float, positions, radius: float) -> CenterOfMass:
         )
     coords = [cmath.log((radius + w) / (radius - w)) for w in positions]
     mean = complex(
-        math.fsum(m * v.real for m, v in zip(masses, coords)) / total,
-        math.fsum(m * v.imag for m, v in zip(masses, coords)) / total,
+        math.fsum(map(mul, masses, [v.real for v in coords])) / total,
+        math.fsum(map(mul, masses, [v.imag for v in coords])) / total,
     )
     return CenterOfMass(
         center=radius * cmath.tanh(0.5 * mean), log_ratio_mean=mean, total_mass=total
@@ -222,21 +281,24 @@ def com_hyperboloid(masses, points, radius: float) -> HPoint:
     """
     radius = check_radius(radius)
     points = [check_hpoint(p, radius) for p in points]
-    masses = [check_mass(m) for m in masses]
+    masses = _checked_masses(masses)
     if len(masses) != len(points):
         raise ValidationError(f"{len(masses)} masses for {len(points)} points")
     if not points:
         raise ValidationError("a system needs at least one particle")
     if len(points) == 1:
         return points[0]
-    positions = [check_disk_point(_project(p, radius), radius) for p in points]
+    positions = [_project(p, radius) for p in points]
+    if not _inside(positions, radius):
+        for w in positions:
+            check_disk_point(w, radius)
     com = _center(masses, math.fsum(masses), positions, radius)
     return unproject(com.center, radius)
 
 
 def com_euclidean(masses, positions) -> complex:
     """Flat weighted mean; the zero-curvature limit of com_disk."""
-    masses = [check_mass(m) for m in masses]
+    masses = _checked_masses(masses)
     positions = [complex(p) for p in positions]
     if len(masses) != len(positions):
         raise ValidationError(
@@ -281,10 +343,10 @@ def to_disk_system(system: MassedSystem) -> MassedSystem:
     if system.model == DISK:
         return system
     if system.model == LINE:
-        positions = [complex(p.position) for p in system.particles]
+        positions = system.position_column
     else:
-        positions = [_project(p.position, system.radius) for p in system.particles]
-    return disk_system(system.masses(), positions, system.radius)
+        positions = [_project(p, system.radius) for p in system.position_column]
+    return disk_system(system.mass_column, positions, system.radius)
 
 
 def to_hyperboloid_system(system: MassedSystem) -> MassedSystem:
@@ -292,8 +354,8 @@ def to_hyperboloid_system(system: MassedSystem) -> MassedSystem:
     if system.model == HYPERBOLOID:
         return system
     disk = to_disk_system(system)
-    points = [_unproject(p.position, disk.radius) for p in disk.particles]
-    return hyperboloid_system(disk.masses(), points, disk.radius)
+    points = [_unproject(w, disk.radius) for w in disk.position_column]
+    return hyperboloid_system(disk.mass_column, points, disk.radius)
 
 
 def lever_point(m1, p1, m2, p2, radius: float) -> complex:

@@ -200,8 +200,8 @@ def _cmd_limit_sweep(args) -> int:
     system = load_system(args.input)
     radii = _parse_sweep(args.sweep)
     disk = to_disk_system(system)
-    masses = disk.masses()
-    positions = [complex(p) for p in disk.positions()]
+    masses = disk.mass_column
+    positions = disk.position_column
     smallest = min(radii)
     for w in positions:
         if abs(w) >= smallest * (1.0 - BOUNDARY_MARGIN):
@@ -248,13 +248,13 @@ def _cmd_karcher_compare(args) -> int:
         "karcher_hyperboloid": [mean_point.x, mean_point.y, mean_point.z],
         "separation": disk_distance(com.center, mean_disk, radius),
     }
-    if len(disk.particles) == 2:
-        (pa, pb) = disk.particles
+    if len(disk.position_column) == 2:
+        (ma, mb), (wa, wb) = disk.mass_column, disk.position_column
         results["lever_residual_com"] = lever_residual(
-            pa.mass, pa.position, pb.mass, pb.position, com.center, radius
+            ma, wa, mb, wb, com.center, radius
         )
         results["lever_residual_karcher"] = lever_residual(
-            pa.mass, pa.position, pb.mass, pb.position, mean_disk, radius
+            ma, wa, mb, wb, mean_disk, radius
         )
     report = {
         "command": "karcher-compare",

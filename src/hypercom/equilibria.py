@@ -198,8 +198,8 @@ def rotation_sweep(system: MassedSystem, angles=None) -> RotationSweep:
     if angles is None:
         angles = [2.0 * math.pi * k / SWEEP_ANGLES for k in range(SWEEP_ANGLES)]
     base = com_disk(system)
-    masses = system.masses()
-    positions = [complex(p) for p in system.positions()]
+    masses = system.mass_column
+    positions = system.position_column
     radius = float(system.radius)
     samples = []
     for angle in angles:

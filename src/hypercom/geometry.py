@@ -71,13 +71,21 @@ def check_hpoint(p, radius: float) -> HPoint:
 
     The quadric residual is compared against TOL_CONSTRUCT scaled by
     R^2 + |p|^2; scaling by R^2 alone would reject far points whose
-    residual is dominated by rounding of z^2.
+    residual is dominated by rounding of z^2.  Where the squares
+    overflow, the residual is judged for the point divided by its
+    largest coordinate.  Non-finite coordinates leave a NaN residual
+    and are rejected.
     """
     x, y, z = p
     rr = radius * radius
     scale = rr + x * x + y * y + z * z
     residual = abs(x * x + y * y - z * z + rr)
-    if not z > 0.0 or residual > TOL_CONSTRUCT * scale:
+    if scale == math.inf:
+        big = max(abs(x), abs(y), abs(z))
+        u, v, w, r = x / big, y / big, z / big, radius / big
+        scale = r * r + u * u + v * v + w * w
+        residual = abs(u * u + v * v - w * w + r * r)
+    if not (z > 0.0 and residual <= TOL_CONSTRUCT * scale):
         raise ValidationError(
             f"point {tuple(p)!r} is not on the upper sheet for radius {radius!r}"
         )
@@ -90,12 +98,20 @@ def hpoint(x: float, y: float, z: float, radius: float) -> HPoint:
 
 
 def check_lpoint(p, radius: float) -> LPoint:
-    """Validate a point of the upper hyperbola branch (1D model)."""
+    """Validate a point of the upper hyperbola branch (1D model).
+
+    The residual test of check_hpoint, on the branch x^2 - y^2 = -R^2.
+    """
     x, y = p
     rr = radius * radius
     scale = rr + x * x + y * y
     residual = abs(x * x - y * y + rr)
-    if not y > 0.0 or residual > TOL_CONSTRUCT * scale:
+    if scale == math.inf:
+        big = max(abs(x), abs(y))
+        u, v, r = x / big, y / big, radius / big
+        scale = r * r + u * u + v * v
+        residual = abs(u * u - v * v + r * r)
+    if not (y > 0.0 and residual <= TOL_CONSTRUCT * scale):
         raise ValidationError(
             f"point {tuple(p)!r} is not on the upper branch for radius {radius!r}"
         )

@@ -290,10 +290,10 @@ def karcher_solve(
         settings = KarcherSettings()
     radius = system.radius
     tol = settings.tol if settings.tol is not None else 1e-12 * radius
-    points = [p.position for p in system.particles]
+    points = system.position_column
     if len(points) == 1:
         return KarcherResult(points[0], 0, 0.0)
-    masses = [p.mass for p in system.particles]
+    masses = system.mass_column
     total = math.fsum(masses)
     particles = []
     for m, p in zip(masses, points):

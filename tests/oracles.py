@@ -7,10 +7,12 @@ formula from 30+ digit complex arithmetic.  Values frozen into tests
 were produced by these functions.
 
 The reference loops at the end are different in kind: they rebuild the
-centers, the rotation sweep and the damped barycenter iteration from
-the validating public functions only.  The library's trusted-kernel
-centers and sweep are held to exact equality with them; its Newton
-barycenter, to the same point within rounding.
+systems particle by particle, and the centers, the rotation sweep and
+the damped barycenter iteration from the validating public functions
+only.  The library's column-checked systems, trusted-kernel centers and
+sweep are held to exact equality with them (the same values, or the
+same first error); its Newton barycenter, to the same point within
+rounding.
 """
 
 import math
@@ -184,6 +186,87 @@ def lever_residual_highprec(m1, p1, m2, p2, probe, radius, dps=40):
         return float(
             mp.mpf(m1) * distance(p1, probe) - mp.mpf(m2) * distance(p2, probe)
         )
+
+
+def system_reference(masses, positions, radius, model):
+    """Particles of a system, converted and checked one particle at a time.
+
+    Each mass becomes a float and each position a complex, float or
+    HPoint as its model asks, particle by particle; then the radius and
+    the particle count are checked, and every particle's
+    mass and position in order, so the first invalid entry raises.
+    Returns the tuple of Particle records.
+    """
+    from hypercom import HPoint, Particle, ValidationError
+    from hypercom.barycenter import check_mass
+    from hypercom.geometry import (
+        check_disk_point,
+        check_hpoint,
+        check_interval_point,
+        check_radius,
+    )
+
+    coerce = {"line": float, "disk": complex, "hyperboloid": lambda p: HPoint(*p)}
+    masses, positions = list(masses), list(positions)
+    if len(masses) != len(positions):
+        raise ValidationError(f"{len(masses)} masses for {len(positions)} positions")
+    particles = tuple(
+        Particle(float(m), coerce[model](p)) for m, p in zip(masses, positions)
+    )
+    check_radius(radius)
+    if not particles:
+        raise ValidationError("a system needs at least one particle")
+    check_position = {
+        "line": check_interval_point,
+        "disk": check_disk_point,
+        "hyperboloid": check_hpoint,
+    }[model]
+    for particle in particles:
+        check_mass(particle.mass)
+        check_position(particle.position, radius)
+    return particles
+
+
+def com_hyperboloid_reference(masses, points, radius):
+    """Sheet center with every check made one particle at a time.
+
+    Sheet points first, then masses, then the rim band of each
+    projected point, as the center has always checked them; the center
+    itself comes from com_disk_reference.
+    """
+    from hypercom import ValidationError, disk_system, project, unproject
+    from hypercom.barycenter import check_mass
+    from hypercom.geometry import check_disk_point, check_hpoint, check_radius
+
+    radius = check_radius(radius)
+    points = [check_hpoint(p, radius) for p in points]
+    masses = [check_mass(m) for m in masses]
+    if len(masses) != len(points):
+        raise ValidationError(f"{len(masses)} masses for {len(points)} points")
+    if not points:
+        raise ValidationError("a system needs at least one particle")
+    if len(points) == 1:
+        return points[0]
+    positions = [check_disk_point(project(p, radius), radius) for p in points]
+    disk = disk_system(masses, positions, radius)
+    return unproject(com_disk_reference(disk).center, radius)
+
+
+def com_line_reference(system):
+    """Line center from a generator over the particles, summed exactly."""
+    radius = system.radius
+    particles = system.particles
+    if len(particles) == 1:
+        return float(particles[0].position)
+    total = math.fsum(p.mass for p in particles)
+    mean = (
+        math.fsum(
+            p.mass * math.log((radius + p.position) / (radius - p.position))
+            for p in particles
+        )
+        / total
+    )
+    return radius * math.tanh(0.5 * mean)
 
 
 def com_disk_reference(system):

@@ -328,6 +328,22 @@ def test_exit_code_domain_violations(tmp_path):
     assert missing.returncode == 1
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "1e200"])
+def test_non_finite_sheet_point_is_an_input_error(tmp_path, bad):
+    # JSON allows NaN and Infinity; such a point used to pass the sheet
+    # check and fail inside the barycenter (exit 2).
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"radius": 1.0, "model": "hyperboloid", "particles": ['
+        '{"mass": 1.0, "coords": [0.0, 0.0, 1.0]}, '
+        f'{{"mass": 2.0, "coords": [{bad}, 0.0, 5.0]}}]}}'
+    )
+    for command in ("karcher-compare", "com"):
+        done = run_cli(command, "--input", str(path))
+        assert done.returncode == 1, (command, done.stderr)
+        assert "not on the upper sheet" in done.stderr
+
+
 def test_exit_code_forced_nonconvergence(tmp_path):
     path = write_system(
         tmp_path / "tri.json",

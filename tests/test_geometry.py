@@ -90,6 +90,36 @@ def test_project_rejects_off_surface_points():
         hpoint(0.1, 0.1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "coords", [(math.nan, 0.0, 5.0), (math.inf, 0.0, 5.0), (0.0, 0.0, math.inf),
+               (0.0, math.nan, 1.0), (1e200, 0.0, 5.0), (1e200, 1e200, 1e200)]
+)
+def test_hpoint_rejects_non_finite_and_overflowing_points(coords):
+    # Before, a NaN residual or inf - inf compared false against the
+    # tolerance and these came back as points.
+    with pytest.raises(ValidationError, match="not on the upper sheet"):
+        hpoint(*coords, 1.0)
+
+
+@pytest.mark.parametrize("coords", [(math.nan, 2.0), (math.inf, 2.0), (2.0, math.nan),
+                                    (1e200, 5.0), (-math.inf, math.inf)])
+def test_lpoint_rejects_non_finite_and_overflowing_points(coords):
+    with pytest.raises(ValidationError, match="not on the upper branch"):
+        lpoint(*coords, 1.0)
+
+
+@pytest.mark.parametrize("radius", RADII)
+def test_points_whose_squares_overflow_are_judged_relatively(radius):
+    # 460R from the pole the coordinates near 1e199 R have squares beyond
+    # the double range; the point divided by its largest coordinate
+    # still satisfies the quadric.
+    p = polar_hpoint(460.0 * radius, 0.7, radius)
+    assert hpoint(*p, radius) == p
+    assert lpoint(radius * math.sinh(460.0), radius * math.cosh(460.0), radius)
+    with pytest.raises(ValidationError):
+        hpoint(p.x, p.y, 0.5 * p.z, radius)
+
+
 def test_line_projection_pair():
     assert project_line((0.0, 1.0), 1.0) == 0.0
     assert unproject_line(0.5, 1.0) == pytest.approx((4.0 / 3.0, 5.0 / 3.0), rel=1e-14)

@@ -1,9 +1,11 @@
 """Trusted kernels against the validating loops and solvers they replace.
 
-The centers and rotation_sweep skip revalidating what the system
-already validated, but keep the arithmetic of the validating coordinate
-maps and of the per-angle rebuild; the references in tests/oracles.py
-are those paths, so agreement is exact equality, not a tolerance.
+Systems are stored and checked as columns, but hold the values and
+raise the first error of the particle-by-particle build.  The centers
+and rotation_sweep skip revalidating what the system already validated,
+but keep the arithmetic of the validating coordinate maps and of the
+per-angle rebuild; the references in tests/oracles.py are those paths,
+so agreement is exact equality, not a tolerance.
 karcher_mean takes Newton steps where the reference loop takes damped
 gradient steps, and lever_point evaluates a closed form where the
 reference bisects, so those agree with their references within rounding.
@@ -21,10 +23,12 @@ from hypercom import (
     ConvergenceError,
     HPoint,
     KarcherResult,
+    MassedSystem,
     NumericalError,
     ValidationError,
     com_disk,
     com_hyperboloid,
+    com_line,
     disk_distance,
     disk_system,
     hyperboloid_distance,
@@ -32,6 +36,7 @@ from hypercom import (
     karcher_mean,
     karcher_solve,
     lever_point,
+    line_system,
     project,
     rotation_sweep,
     unproject,
@@ -39,11 +44,14 @@ from hypercom import (
 
 from oracles import (
     com_disk_reference,
+    com_hyperboloid_reference,
+    com_line_reference,
     karcher_gradient_norm_highprec,
     karcher_mean_reference,
     lever_point_bisection,
     lever_residual_highprec,
     rotation_sweep_reference,
+    system_reference,
 )
 
 RADII = (0.5, 1.0, 10.0)
@@ -229,3 +237,125 @@ def test_lever_point_no_worse_than_bisection_near_the_rim():
             abs(lever_residual_highprec(m1, w1, m2, w2, bisected, radius)) / scale,
         )
     assert worst_closed <= worst_bisection
+
+
+BUILDERS = {"line": line_system, "disk": disk_system, "hyperboloid": hyperboloid_system}
+
+
+@st.composite
+def raw_systems(draw, models=tuple(BUILDERS)):
+    """Model, masses, positions and radius of a valid system, as plain lists."""
+    model = draw(st.sampled_from(models))
+    radius = draw(st.sampled_from(RADII))
+    n = draw(st.integers(1, 12))
+    masses = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    points = [radius * w for w in draw(st.lists(unit_disk_points, min_size=n, max_size=n))]
+    if model == "line":
+        positions = [w.real for w in points]
+    elif model == "disk":
+        positions = points
+    else:
+        positions = [tuple(unproject(w, radius)) for w in points]
+    return model, masses, positions, radius
+
+
+BAD_MASSES = (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5, "x")
+
+
+def _bad_positions(model, radius):
+    edge = radius * (1.0 - 1e-13)
+    if model == "line":
+        return (math.nan, math.inf, -math.inf, radius, -radius, 2.0 * radius, edge, "y")
+    if model == "disk":
+        return (
+            complex(math.nan, 0.0),
+            complex(0.0, math.inf),
+            complex(radius, 0.0),
+            complex(0.0, -edge),
+            1.5 * radius * cmath.exp(1j),
+            complex(1.7e308, 1.7e308),
+            "y",
+        )
+    far = 30.0  # on the sheet, but projected into the rim band
+    return (
+        (0.0, 0.0, -radius),
+        (0.0, 0.0, 1.1 * radius),
+        (math.nan, 0.0, radius),
+        (math.inf, 0.0, radius),
+        (1e200, 0.0, 5.0 * radius),
+        (radius * math.sinh(far), 0.0, radius * math.cosh(far)),
+        (1.0, 2.0),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ValidationError, ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_systems())
+def test_system_columns_equal_per_particle_build(raw):
+    model, masses, positions, radius = raw
+    particles = system_reference(masses, positions, radius, model)
+    system = BUILDERS[model](masses, positions, radius)
+    assert system.particles == particles
+    assert system.masses() == [p.mass for p in particles]
+    assert system.positions() == [p.position for p in particles]
+    assert system.total_mass == math.fsum(p.mass for p in particles)
+    assert (system.radius, system.model) == (radius, model)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=raw_systems(), data=st.data())
+def test_invalid_entries_raise_the_per_particle_error(raw, data):
+    model, masses, positions, radius = raw
+    for _ in range(data.draw(st.integers(1, 2))):
+        k = data.draw(st.integers(0, len(masses) - 1))
+        if data.draw(st.booleans()):
+            masses[k] = data.draw(st.sampled_from(BAD_MASSES))
+        else:
+            positions[k] = data.draw(st.sampled_from(_bad_positions(model, radius)))
+    kind, expected = _outcome(system_reference, masses, positions, radius, model)
+    got_kind, got = _outcome(BUILDERS[model], masses, positions, radius)
+    assert got_kind == kind
+    if kind == "ok":
+        assert got.particles == expected
+    else:
+        assert got == expected
+    if model == "hyperboloid":
+        assert _outcome(com_hyperboloid, masses, positions, radius) == _outcome(
+            com_hyperboloid_reference, masses, positions, radius
+        )
+
+
+@pytest.mark.parametrize("model", BUILDERS)
+def test_unconvertible_entries_raise_in_particle_order(model):
+    # A position that cannot be converted, before a mass that cannot.
+    radius = 1.0
+    positions = {"line": [0.1, 0.2, 0.3], "disk": [0.1, 0.2j, 0.3]}.get(
+        model, [tuple(unproject(w, radius)) for w in (0.1, 0.2j, 0.3)]
+    )
+    masses = [1.0, 2.0, "x"]
+    positions[1] = _bad_positions(model, radius)[-1]
+    expected = _outcome(system_reference, masses, positions, radius, model)
+    assert expected[0] is not ValidationError
+    assert _outcome(BUILDERS[model], masses, positions, radius) == expected
+
+
+def test_direct_construction_checks_the_columns():
+    system = MassedSystem((1.0, 2.0), (0.5 + 0j, -0.25j), 1.0)
+    assert system == disk_system([1, 2], [0.5, -0.25j], 1.0)
+    with pytest.raises(ValidationError, match="2 masses for 1 positions"):
+        MassedSystem((1.0, 2.0), (0.5 + 0j,), 1.0)
+    with pytest.raises(ValidationError, match="not inside the disk"):
+        MassedSystem((1.0,), (2.0 + 0j,), 1.0)
+
+@settings(max_examples=150, deadline=None)
+@given(raw=raw_systems(models=("line",)))
+def test_com_line_equals_generator_loop(raw):
+    _, masses, positions, radius = raw
+    system = line_system(masses, positions, radius)
+    assert com_line(system) == com_line_reference(system)
