@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import ValidationError
@@ -65,14 +65,16 @@ class MassedSystem:
     disk, float for the line, HPoint for the hyperboloid).  Build systems
     with line_system, disk_system or hyperboloid_system; construction
     validates the radius, the model tag and every particle, so the
-    kernels that read the columns trust them.  ``particles`` builds the
-    per-particle view on request.
+    kernels that read the columns trust them, and sums the masses once
+    into ``total_mass``.  ``particles`` builds the per-particle view on
+    request.
     """
 
     mass_column: tuple[float, ...]
     position_column: tuple
     radius: float
     model: str = DISK
+    total_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_radius(self.radius)
@@ -95,15 +97,12 @@ class MassedSystem:
             for m, p in zip(masses, positions):
                 check_mass(m)
                 check_position(p, self.radius)
+        object.__setattr__(self, "total_mass", math.fsum(masses))
 
     @property
     def particles(self) -> tuple[Particle, ...]:
         """Per-particle records, built from the columns on each access."""
         return tuple(map(Particle, self.mass_column, self.position_column))
-
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(self.mass_column)
 
     def masses(self) -> list[float]:
         return list(self.mass_column)
@@ -159,10 +158,14 @@ def _inside(positions, radius: float) -> bool:
     """Whether every disk or line point clears the rim band.
 
     The same comparison as check_disk_point and check_interval_point;
-    a NaN or infinite point has a NaN or infinite modulus and fails it.
+    a NaN or infinite point has a NaN or infinite modulus and fails it,
+    and so does a finite point whose modulus overflows.
     """
     limit = radius * (1.0 - BOUNDARY_MARGIN)
-    return all(map(limit.__gt__, map(abs, positions)))
+    try:
+        return all(map(limit.__gt__, map(abs, positions)))
+    except OverflowError:
+        return False
 
 
 def _checked_masses(masses) -> list[float]:
@@ -225,13 +228,21 @@ def com_line(system: MassedSystem) -> float:
     returned unchanged.
     """
     _require_model(system, LINE)
-    radius = system.radius
-    masses, positions = system.mass_column, system.position_column
+    positions = system.position_column
     if len(positions) == 1:
         return float(positions[0])
+    masses, total = system.mass_column, system.total_mass
+    return _line_center(masses, total, positions, system.radius)[0]
+
+
+def _line_center(masses, total: float, positions, radius: float) -> tuple[float, float]:
+    """Center of two or more validated line particles, and its mean coordinate.
+
+    The kernel of com_line; ``total`` is the exact sum of ``masses``.
+    """
     coords = [math.log((radius + u) / (radius - u)) for u in positions]
-    mean = math.fsum(map(mul, masses, coords)) / math.fsum(masses)
-    return radius * math.tanh(0.5 * mean)
+    mean = math.fsum(map(mul, masses, coords)) / total
+    return radius * math.tanh(0.5 * mean), mean
 
 
 def com_disk(system: MassedSystem) -> CenterOfMass:
@@ -242,10 +253,8 @@ def com_disk(system: MassedSystem) -> CenterOfMass:
     its own position.
     """
     _require_model(system, DISK)
-    masses = system.mass_column
-    return _center(
-        masses, math.fsum(masses), system.position_column, float(system.radius)
-    )
+    masses, positions = system.mass_column, system.position_column
+    return _center(masses, system.total_mass, positions, float(system.radius))
 
 
 def _center(masses, total: float, positions, radius: float) -> CenterOfMass:
@@ -369,6 +378,9 @@ def lever_point(m1, p1, m2, p2, radius: float) -> complex:
     """
     m1 = check_mass(m1)
     m2 = check_mass(m2)
-    if abs(complex(p2)) < abs(complex(p1)):
+    radius = check_radius(radius)
+    p1 = check_disk_point(p1, radius)
+    p2 = check_disk_point(p2, radius)
+    if abs(p2) < abs(p1):
         return geodesic_between(p2, p1, radius).point(m1 / (m1 + m2))
     return geodesic_between(p1, p2, radius).point(m2 / (m1 + m2))

@@ -26,6 +26,7 @@ from .barycenter import (
     LINE,
     com_disk,
     com_line,
+    disk_system,
     euclidean_limit_error,
     lever_residual,
     to_disk_system,
@@ -35,7 +36,6 @@ from .equilibria import (
     EQUALITY_RTOL,
     SWEEP_ANGLES,
     classify_balance,
-    diametric_system,
     rotation_sweep,
 )
 from .errors import NumericalError, ValidationError
@@ -101,27 +101,20 @@ def _pair(value: complex) -> list[float]:
 
 def _cmd_com(args) -> int:
     system = load_system(args.input)
+    com = com_disk(to_disk_system(system))
+    results = {
+        "log_ratio_mean": _pair(com.log_ratio_mean),
+        "total_mass": com.total_mass,
+    }
     if system.model == LINE:
         center = com_line(system)
         lift = unproject_line(center, system.radius)
-        disk = to_disk_system(system)
-        com = com_disk(disk)
-        results = {
-            "center_interval": center,
-            "center_hyperbola": [lift.x, lift.y],
-            "log_ratio_mean": _pair(com.log_ratio_mean),
-            "total_mass": com.total_mass,
-        }
+        results["center_interval"] = center
+        results["center_hyperbola"] = [lift.x, lift.y]
     else:
-        disk = to_disk_system(system)
-        com = com_disk(disk)
         lift = unproject(com.center, system.radius)
-        results = {
-            "center_disk": _pair(com.center),
-            "center_hyperboloid": [lift.x, lift.y, lift.z],
-            "log_ratio_mean": _pair(com.log_ratio_mean),
-            "total_mass": com.total_mass,
-        }
+        results["center_disk"] = _pair(com.center)
+        results["center_hyperboloid"] = [lift.x, lift.y, lift.z]
     report = {
         "command": "com",
         "input_sha256": file_digest(args.input),
@@ -140,7 +133,10 @@ def _cmd_com(args) -> int:
 def _cmd_equilibrium(args) -> int:
     radius = args.radius
     verdict = classify_balance(args.m1, args.m2, args.alpha, radius)
-    system = diametric_system(args.m1, args.m2, args.alpha, radius)
+    # The balanced pair at the partner radius classify_balance certified.
+    system = disk_system(
+        [args.m1, args.m2], [args.alpha, -verdict.partner_radius], radius
+    )
     angles = [2.0 * math.pi * k / args.angles for k in range(args.angles)]
     sweep = rotation_sweep(system, angles)
     rows = [

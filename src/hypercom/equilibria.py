@@ -27,15 +27,16 @@ from .barycenter import (
     CenterOfMass,
     MassedSystem,
     _center,
+    _line_center,
     check_mass,
     com_disk,
-    com_line,
     disk_system,
     line_system,
 )
 from .errors import NumericalError, ValidationError
 from .geometry import (
     BOUNDARY_MARGIN,
+    _line_coordinate,
     check_interval_point,
     check_radius,
     check_disk_point,
@@ -69,14 +70,14 @@ def balance_radius(m1: float, m2: float, alpha: float, radius: float) -> float:
     alpha = check_interval_point(alpha, radius)
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be in (0, R), got {alpha!r}")
-    target = m1 * math.log((radius + alpha) / (radius - alpha))
+    target = m1 * _line_coordinate(alpha, radius)
     r = radius * math.tanh(target / (2.0 * m2))
     if r >= radius * (1.0 - BOUNDARY_MARGIN):
         raise NumericalError(
             f"balancing radius for masses ({m1!r}, {m2!r}) at alpha {alpha!r} "
             f"rounds onto the disk boundary"
         )
-    achieved = m2 * math.log((radius + r) / (radius - r))
+    achieved = m2 * _line_coordinate(r, radius)
     if abs(achieved - target) > EQUALITY_RTOL * max(abs(achieved), abs(target)):
         raise NumericalError(
             f"balancing radius {r!r} cannot reproduce the lever balance to "
@@ -99,10 +100,8 @@ class TwoBodyEquilibrium:
         radius = check_radius(self.radius)
         check_mass(self.m1)
         check_mass(self.m2)
-        s1 = self.m1 * math.log((radius + self.alpha) / (radius - self.alpha))
-        s2 = self.m2 * math.log(
-            (radius + self.partner_radius) / (radius - self.partner_radius)
-        )
+        s1 = self.m1 * _line_coordinate(self.alpha, radius)
+        s2 = self.m2 * _line_coordinate(self.partner_radius, radius)
         if abs(s1 - s2) > EQUALITY_RTOL * max(abs(s1), abs(s2)):
             raise ValidationError(
                 f"radii ({self.alpha!r}, {self.partner_radius!r}) do not "
@@ -267,12 +266,8 @@ def eulerian_triple(masses, positions, radius) -> tuple[TripleConfig, CenterOfMa
     if len(masses) != 3 or len(positions) != 3:
         raise ValidationError("a triple needs exactly three masses and positions")
     system = line_system(masses, positions, radius)
-    center = com_line(system)
     total = system.total_mass
-    mean = math.fsum(
-        m * math.log((radius + u) / (radius - u))
-        for m, u in zip(masses, positions)
-    ) / total
+    center, mean = _line_center(system.mass_column, total, positions, radius)
     config = TripleConfig(
         kind=EULERIAN,
         masses=masses,

@@ -16,9 +16,11 @@ The z sign convention matters: the variant z = R (|w|^2 - R^2) /
 (R^2 - |w|^2) sends the origin to (0, 0, -R) on the lower sheet and is
 not an inverse of the projection, so it is not used here.
 
-One-dimensional analogues (the branch x^2 - y^2 = -R^2, y > 0,
-projected to the interval (-R, R)) cover the collinear case.  All
-functions are pure; nothing in this module holds mutable state.
+The one-dimensional model of the collinear case is the y = 0 section:
+its branch x^2 - y^2 = -R^2, y > 0 is the sheet curve (x, 0, y), which
+projects to the real diameter (-R, R), and its checks and maps are the
+sheet's and the disk's on that section.  All functions are pure;
+nothing in this module holds mutable state.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ from .errors import NumericalError, ValidationError
 
 # On-surface validation at construction; relative to the point's scale.
 TOL_CONSTRUCT = 1e-9
-# Model round trips hold to this relative error on the documented domain.
-TOL_ROUNDTRIP = 1e-12
-# Distance comparisons (midpoints, additivity checks) use this.
-TOL_COMPARE = 1e-9
 # Disk points with |w| > R (1 - BOUNDARY_MARGIN) are rejected outright:
 # the projection denominator R^2 - |w|^2 has lost all precision there.
 BOUNDARY_MARGIN = 1e-12
@@ -63,6 +61,9 @@ def check_radius(radius: float) -> float:
         raise ValidationError(
             f"curvature radius must be positive and finite, got {radius!r}"
         )
+    if not 1e-100 <= radius <= 1e100:
+        # The models cube R, and R^3 must stay a normal double.
+        raise ValidationError(f"curvature radius {radius!r} is outside [1e-100, 1e100]")
     return float(radius)
 
 
@@ -77,6 +78,15 @@ def check_hpoint(p, radius: float) -> HPoint:
     and are rejected.
     """
     x, y, z = p
+    if not _on_sheet(x, y, z, radius):
+        raise ValidationError(
+            f"point {tuple(p)!r} is not on the upper sheet for radius {radius!r}"
+        )
+    return p if type(p) is HPoint else HPoint(float(x), float(y), float(z))
+
+
+def _on_sheet(x, y, z, radius: float) -> bool:
+    """The quadric test of check_hpoint, on coordinates."""
     rr = radius * radius
     scale = rr + x * x + y * y + z * z
     residual = abs(x * x + y * y - z * z + rr)
@@ -85,11 +95,7 @@ def check_hpoint(p, radius: float) -> HPoint:
         u, v, w, r = x / big, y / big, z / big, radius / big
         scale = r * r + u * u + v * v + w * w
         residual = abs(u * u + v * v - w * w + r * r)
-    if not (z > 0.0 and residual <= TOL_CONSTRUCT * scale):
-        raise ValidationError(
-            f"point {tuple(p)!r} is not on the upper sheet for radius {radius!r}"
-        )
-    return p if type(p) is HPoint else HPoint(float(x), float(y), float(z))
+    return z > 0.0 and residual <= TOL_CONSTRUCT * scale
 
 
 def hpoint(x: float, y: float, z: float, radius: float) -> HPoint:
@@ -100,18 +106,10 @@ def hpoint(x: float, y: float, z: float, radius: float) -> HPoint:
 def check_lpoint(p, radius: float) -> LPoint:
     """Validate a point of the upper hyperbola branch (1D model).
 
-    The residual test of check_hpoint, on the branch x^2 - y^2 = -R^2.
+    The residual test of check_hpoint on the sheet point (x, 0, y).
     """
     x, y = p
-    rr = radius * radius
-    scale = rr + x * x + y * y
-    residual = abs(x * x - y * y + rr)
-    if scale == math.inf:
-        big = max(abs(x), abs(y))
-        u, v, r = x / big, y / big, radius / big
-        scale = r * r + u * u + v * v
-        residual = abs(u * u - v * v + r * r)
-    if not (y > 0.0 and residual <= TOL_CONSTRUCT * scale):
+    if not _on_sheet(x, 0.0, y, radius):
         raise ValidationError(
             f"point {tuple(p)!r} is not on the upper branch for radius {radius!r}"
         )
@@ -124,11 +122,15 @@ def lpoint(x: float, y: float, radius: float) -> LPoint:
 
 
 def check_disk_point(w, radius: float) -> complex:
-    """Validate a disk-model point, rejecting the outermost boundary band."""
+    """Validate a disk-model point, rejecting the rim band and overflowing moduli."""
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ValidationError(f"disk point must be finite, got {w!r}")
-    if abs(w) >= radius * (1.0 - BOUNDARY_MARGIN):
+    try:
+        outside = abs(w) >= radius * (1.0 - BOUNDARY_MARGIN)
+    except OverflowError:
+        outside = True
+    if outside:
         raise ValidationError(
             f"point {w!r} is not inside the disk of radius {radius!r}"
         )
@@ -180,16 +182,14 @@ def project_line(p, radius: float) -> float:
     """1D stereographic projection u = R x / (R + y)."""
     radius = check_radius(radius)
     x, y = check_lpoint(p, radius)
-    return radius * x / (radius + y)
+    return _project((x, 0.0, y), radius).real
 
 
 def unproject_line(u: float, radius: float) -> LPoint:
     """Lift an interval coordinate onto the upper hyperbola branch."""
     radius = check_radius(radius)
-    u = check_interval_point(u, radius)
-    rr = radius * radius
-    denom = rr - u * u
-    return LPoint(2.0 * rr * u / denom, radius * (rr + u * u) / denom)
+    x, _, y = _unproject(complex(check_interval_point(u, radius)), radius)
+    return LPoint(x, y)
 
 
 def minkowski_inner(p, q) -> float:
@@ -253,8 +253,7 @@ def arclength_from_pole(u: float, radius: float) -> float:
     increasing in u.
     """
     radius = check_radius(radius)
-    u = check_interval_point(u, radius)
-    return radius * math.log((radius + u) / (radius - u))
+    return radius * _line_coordinate(check_interval_point(u, radius), radius)
 
 
 def arc_between(u1: float, u2: float, radius: float) -> float:
@@ -262,10 +261,12 @@ def arc_between(u1: float, u2: float, radius: float) -> float:
     radius = check_radius(radius)
     u1 = check_interval_point(u1, radius)
     u2 = check_interval_point(u2, radius)
-    return radius * (
-        math.log((radius + u2) / (radius - u2))
-        - math.log((radius + u1) / (radius - u1))
-    )
+    return radius * (_line_coordinate(u2, radius) - _line_coordinate(u1, radius))
+
+
+def _line_coordinate(u: float, radius: float) -> float:
+    """The paper's coordinate log((R + u) / (R - u)) of a validated point."""
+    return math.log((radius + u) / (radius - u))
 
 
 @dataclass(frozen=True)
@@ -315,9 +316,9 @@ def geodesic_between(a, b, radius: float) -> GeodesicSegment:
     radius = check_radius(radius)
     a = check_disk_point(a, radius)
     b = check_disk_point(b, radius)
-    p = unproject(a, radius)
-    q = unproject(b, radius)
-    length = hyperboloid_distance(p, q, radius)
+    p = _unproject(a, radius)
+    q = _unproject(b, radius)
+    length = _distance(p, q, radius)
     if a == b or length == 0.0:
         raise ValidationError(f"degenerate geodesic: endpoints {a!r} coincide")
     coef = minkowski_inner(p, q) / (radius * radius)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .barycenter import HYPERBOLOID, MassedSystem
+from .barycenter import HYPERBOLOID, MassedSystem, _require_model
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .geometry import (
     HPoint,
@@ -282,10 +282,7 @@ def karcher_solve(
     The particles were validated when the system was built; the loop
     checks only its own iterate, once per iteration.
     """
-    if system.model != HYPERBOLOID:
-        raise ValidationError(
-            f"expected a {HYPERBOLOID!r} system, got {system.model!r}"
-        )
+    _require_model(system, HYPERBOLOID)
     if settings is None:
         settings = KarcherSettings()
     radius = system.radius
@@ -293,10 +290,9 @@ def karcher_solve(
     points = system.position_column
     if len(points) == 1:
         return KarcherResult(points[0], 0, 0.0)
-    masses = system.mass_column
-    total = math.fsum(masses)
+    total = system.total_mass
     particles = []
-    for m, p in zip(masses, points):
+    for m, p in zip(system.mass_column, points):
         b, ux, uy = _polar(p, radius)
         particles.append((m, b, math.sinh(b), ux, uy))
     if initial is not None:

@@ -432,3 +432,62 @@ def test_karcher_compare_far_pair_on_the_axis_converges(tmp_path):
     x, y, z = results["karcher_hyperboloid"]
     assert math.asinh(x) == pytest.approx(10.0, abs=1e-12)
     assert y == 0.0
+
+
+def test_disk_point_with_overflowing_modulus_is_an_input_error(tmp_path):
+    # 1.7e308 + 1.7e308i is finite, but abs() of it overflowed: each of
+    # these ended in an OverflowError traceback.
+    path = write_system(
+        tmp_path / "huge.json", 1.0, "disk",
+        [(1.0, (1.7e308, 1.7e308)), (1.0, (0.1, 0.0))],
+    )
+    for argv in (
+        ("com", "--input", str(path)),
+        ("distance", "1.7e308", "1.7e308", "0", "0", "--radius", "1"),
+        ("unproject", "1.7e308", "1.7e308", "--radius", "1"),
+    ):
+        done = run_cli(*argv)
+        assert done.returncode == 1, argv
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert "not inside the disk" in done.stderr
+
+
+def _radius_domain_runs(tmp_path, radius):
+    w = 0.5 * radius
+    sheet = [
+        (1.0, (radius * math.sinh(1.0), 0.0, radius * math.cosh(1.0))),
+        (2.0, (0.0, radius * math.sinh(0.5), radius * math.cosh(0.5))),
+    ]
+    line = write_system(
+        tmp_path / "line.json", radius, "line", [(1.0, (w,)), (2.0, (-0.4 * w,))]
+    )
+    disk = write_system(
+        tmp_path / "disk.json", radius, "disk", [(1.0, (w, 0.0)), (2.0, (0.0, -w))]
+    )
+    hyper = write_system(tmp_path / "sheet.json", radius, "hyperboloid", sheet)
+    return [
+        run_cli("com", "--input", str(line)),
+        run_cli("com", "--input", str(disk)),
+        run_cli("com", "--input", str(hyper)),
+        run_cli("karcher-compare", "--input", str(hyper)),
+        run_cli("unproject", "--radius", repr(radius), "--", repr(w), "0"),
+    ]
+
+
+@pytest.mark.parametrize("radius", [1e-100, 1e100])
+def test_radius_domain_edges_give_finite_reports(tmp_path, radius):
+    for done in _radius_domain_runs(tmp_path, radius):
+        assert done.returncode == 0, done.stderr
+        assert "NaN" not in done.stdout and "Infinity" not in done.stdout
+        assert "inf" not in done.stdout and "nan" not in done.stdout
+
+
+@pytest.mark.parametrize("radius", [1e-101, 1e101])
+def test_radius_outside_domain_is_an_input_error(tmp_path, radius):
+    # At 1e103 these reports held Infinity and NaN; at 1e-200 they ended
+    # in ZeroDivisionError tracebacks.
+    for done in _radius_domain_runs(tmp_path, radius):
+        assert done.returncode == 1
+        assert len(done.stderr.splitlines()) == 1
+        assert "curvature radius" in done.stderr

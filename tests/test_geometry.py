@@ -15,12 +15,19 @@ from hypercom import (
     ValidationError,
     arc_between,
     arclength_from_pole,
+    com_disk,
     disk_distance,
+    disk_system,
     geodesic_between,
     hpoint,
     hyperboloid_distance,
+    hyperboloid_system,
+    lever_point,
+    line_system,
+    log_ratio,
     lpoint,
     minkowski_inner,
+    mirror_pair,
     project,
     project_line,
     rotate_disk,
@@ -129,6 +136,105 @@ def test_line_projection_pair():
         unproject_line(1.0, 1.0)
     with pytest.raises(ValidationError):
         lpoint(0.5, 0.9, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.floats(-0.999, 0.999),
+    t=st.floats(-460.0, 460.0),
+    radius=st.sampled_from(RADII),
+)
+def test_line_maps_are_the_sheet_maps_at_y_zero(u, t, radius):
+    # The 1D model is the y = 0 section of the sheet: its lift and its
+    # projection are the sheet's, bit for bit.
+    u *= radius
+    lift = unproject(u, radius)
+    assert unproject_line(u, radius) == (lift.x, lift.z)
+    x, y = radius * math.sinh(t), radius * math.cosh(t)
+    assert project_line((x, y), radius) == project((x, 0.0, y), radius).real
+
+
+SPECIAL_COORDS = (math.nan, math.inf, -math.inf, 0.0, 1e200, -1e200, 1.7e308)
+
+
+def _accepted(construct, *args):
+    try:
+        construct(*args)
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coords=st.one_of(
+        st.builds(
+            lambda t, stretch: (math.sinh(t), stretch * math.cosh(t)),
+            st.floats(-460.0, 460.0),
+            st.sampled_from((1.0, 1.0 + 1e-10, 1.0 + 1e-8, -1.0)),
+        ),
+        st.tuples(
+            st.one_of(st.floats(), st.sampled_from(SPECIAL_COORDS)),
+            st.one_of(st.floats(), st.sampled_from(SPECIAL_COORDS)),
+        ),
+    ),
+    radius=st.sampled_from(RADII),
+)
+def test_lpoint_accepts_exactly_what_hpoint_accepts_at_y_zero(coords, radius):
+    x, y = radius * coords[0], radius * coords[1]
+    assert _accepted(lpoint, x, y, radius) == _accepted(hpoint, x, 0.0, y, radius)
+
+
+HUGE = complex(1.7e308, 1.7e308)  # finite, but its modulus overflows
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: unproject(HUGE, 1.0),
+        lambda: disk_distance(HUGE, 0.0, 1.0),
+        lambda: geodesic_between(0.0, HUGE, 1.0),
+        lambda: log_ratio(HUGE, 1.0),
+        lambda: disk_system([1.0, 2.0], [0.1, HUGE], 1.0),
+        lambda: mirror_pair(1.0, HUGE, 1.0),
+        lambda: lever_point(1.0, 0.5, 2.0, HUGE, 1.0),
+        lambda: lever_point(1.0, HUGE, 2.0, 0.5, 1.0),
+    ],
+    ids=["unproject", "disk_distance", "geodesic_between", "log_ratio",
+         "disk_system", "mirror_pair", "lever_point_p2", "lever_point_p1"],
+)
+def test_disk_point_with_overflowing_modulus_is_outside(call):
+    # Before, abs(w) raised OverflowError("absolute value too large").
+    with pytest.raises(ValidationError, match="not inside the disk"):
+        call()
+
+
+@pytest.mark.parametrize("radius", [1e-100, 1e100])
+def test_radius_domain_edges_are_accepted(radius):
+    p = hpoint(radius * math.sinh(1.0), 0.0, radius * math.cosh(1.0), radius)
+    w = project(p, radius)
+    assert w == pytest.approx(radius * math.tanh(0.5), rel=1e-15)
+    assert unproject(w, radius) == pytest.approx(p, rel=1e-14)
+    assert disk_distance(0.0, w, radius) == pytest.approx(radius, rel=1e-14)
+    com = com_disk(disk_system([1.0, 1.0], [w, -w], radius))
+    assert abs(com.center) <= 1e-15 * radius
+    assert arclength_from_pole(w.real, radius) == pytest.approx(radius, rel=1e-14)
+
+
+@pytest.mark.parametrize("radius", [1e-101, 1e101, 1e-200, 1e103])
+def test_radius_outside_domain_is_rejected(radius):
+    # R^3 must stay a normal double; at 1e103 the models returned
+    # Infinity and NaN, at 1e-200 they divided by zero.
+    calls = [
+        lambda: hpoint(0.0, 0.0, radius, radius),
+        lambda: unproject(0.5 * radius, radius),
+        lambda: line_system([1.0], [0.5 * radius], radius),
+        lambda: disk_system([1.0], [0.5 * radius], radius),
+        lambda: hyperboloid_system([1.0], [(0.0, 0.0, radius)], radius),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="outside"):
+            call()
 
 
 @settings(max_examples=200, deadline=None)

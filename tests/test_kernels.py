@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercom import (
+    CenterOfMass,
     ConvergenceError,
     HPoint,
     KarcherResult,
@@ -31,6 +32,7 @@ from hypercom import (
     com_line,
     disk_distance,
     disk_system,
+    eulerian_triple,
     hyperboloid_distance,
     hyperboloid_system,
     karcher_mean,
@@ -305,6 +307,7 @@ def test_system_columns_equal_per_particle_build(raw):
     assert system.masses() == [p.mass for p in particles]
     assert system.positions() == [p.position for p in particles]
     assert system.total_mass == math.fsum(p.mass for p in particles)
+    assert system.total_mass == math.fsum(system.mass_column)
     assert (system.radius, system.model) == (radius, model)
 
 
@@ -359,3 +362,22 @@ def test_com_line_equals_generator_loop(raw):
     _, masses, positions, radius = raw
     system = line_system(masses, positions, radius)
     assert com_line(system) == com_line_reference(system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    masses=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+    positions=st.lists(st.floats(-0.999, 0.999), min_size=3, max_size=3),
+    radius=st.sampled_from(RADII),
+)
+def test_eulerian_triple_equals_generator_loops(masses, positions, radius):
+    # The center and the mean come from one pass of the line kernel; the
+    # references are the generator loops that computed them separately.
+    positions = [radius * u for u in positions]
+    _, com = eulerian_triple(masses, positions, radius)
+    total = math.fsum(masses)
+    mean = math.fsum(
+        m * math.log((radius + u) / (radius - u)) for m, u in zip(masses, positions)
+    ) / total
+    center = com_line_reference(line_system(masses, positions, radius))
+    assert com == CenterOfMass(complex(center), complex(mean), total)
