@@ -8,6 +8,17 @@ divided by R, so for two real particles this is exactly the balance
 point of the lever rule m1 s1 = m2 s2.  As R grows the construction
 degenerates to the flat weighted mean.
 
+On the hyperboloid sheet the same coordinate v = a + ib has a closed
+form in the point's own x and y, with rho = hypot(R, y):
+
+    a = asinh(x / rho),  b = atan(y / R),
+    (x, y, z) = (rho sinh a, R tan b, rho cosh a),  rho = R / cos b.
+
+Sheet centers average a and b there and never pass through the disk,
+so they hold for any representable sheet point, not only for those
+whose projection clears the disk's rim band.  The band |b| < pi/2 has
+its own rim: a mean b that rounds to +-pi/2 names no point.
+
 Whether the same point satisfies the geodesic lever rule for generic
 (non-diametric) configurations is deliberately not assumed here; the
 closed-form lever_point and the karcher module exist to measure that.
@@ -20,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .geometry import (
     BOUNDARY_MARGIN,
     HPoint,
@@ -30,7 +41,7 @@ from .geometry import (
     check_radius,
     disk_distance,
     geodesic_between,
-    unproject,
+    _on_sheet_column,
     _project,
     _unproject,
 )
@@ -87,17 +98,14 @@ class MassedSystem:
             raise ValidationError(
                 f"{len(masses)} masses for {len(positions)} positions"
             )
-        valid = _masses_valid(masses)
-        if valid and self.model == HYPERBOLOID:
-            for p in positions:
-                check_hpoint(p, self.radius)
-        elif not (valid and _inside(positions, self.radius)):
+        inside = _on_sheet_column if self.model == HYPERBOLOID else _inside
+        if not (_masses_valid(masses) and inside(positions, self.radius)):
             # Walk the particles in order to raise the first error.
             check_position = _POSITION_CHECKS[self.model]
             for m, p in zip(masses, positions):
                 check_mass(m)
                 check_position(p, self.radius)
-        object.__setattr__(self, "total_mass", math.fsum(masses))
+        object.__setattr__(self, "total_mass", _total_mass(masses))
 
     @property
     def particles(self) -> tuple[Particle, ...]:
@@ -168,16 +176,29 @@ def _inside(positions, radius: float) -> bool:
         return False
 
 
-def _checked_masses(masses) -> list[float]:
-    """[check_mass(m) for m in masses], in one pass when every mass is valid."""
+def _checked_masses(masses) -> tuple[list[float], float]:
+    """[check_mass(m) for m in masses] and their exact total.
+
+    One pass when every mass is valid.
+    """
     masses = list(masses)
     try:
         floats = list(map(float, masses))
-        if floats and _masses_valid(floats):
-            return floats
     except (TypeError, ValueError):
-        pass
-    return [check_mass(m) for m in masses]
+        floats = []
+    if not (floats and _masses_valid(floats)):
+        floats = [check_mass(m) for m in masses]
+    return floats, _total_mass(floats)
+
+
+def _total_mass(masses) -> float:
+    """Exact sum of valid masses; a sum past the double range is an input error."""
+    try:
+        return math.fsum(masses)
+    except OverflowError:
+        raise ValidationError(
+            "the total mass exceeds the largest double"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -283,31 +304,59 @@ def _center(masses, total: float, positions, radius: float) -> CenterOfMass:
 
 
 def com_hyperboloid(masses, points, radius: float) -> HPoint:
-    """Center of mass of particles on the sheet, computed through the disk.
+    """Center of mass of particles on the sheet, in the band coordinate.
 
-    Each sheet point is validated once; its projection must still clear
-    the disk rim band, which points beyond about 29R from the pole fail.
+    Every representable sheet point is accepted.  A single particle is
+    returned as given; a center whose mean b rounds to the band's rim
+    raises NumericalError.
     """
     radius = check_radius(radius)
-    points = [check_hpoint(p, radius) for p in points]
-    masses = _checked_masses(masses)
+    points = list(points)
+    if not _on_sheet_column(points, radius):
+        for p in points:
+            check_hpoint(p, radius)
+    masses, total = _checked_masses(masses)
     if len(masses) != len(points):
         raise ValidationError(f"{len(masses)} masses for {len(points)} points")
     if not points:
         raise ValidationError("a system needs at least one particle")
+    return _band_center(masses, total, points, radius)[1]
+
+
+def _band_center(masses, total: float, points, radius: float) -> tuple[complex, HPoint]:
+    """Mean band coordinate of validated sheet points, and its sheet point.
+
+    ``total`` is the exact sum of ``masses``.  z is never read, so its
+    rounding far out does not enter.  A single particle is its own
+    center.  A mean that overflows, or whose b rounds to +-pi/2, names
+    no representable point and raises NumericalError.
+    """
+    a = [math.asinh(x / math.hypot(radius, y)) for x, y, _ in points]
+    b = [math.atan(y / radius) for _, y, _ in points]
     if len(points) == 1:
-        return points[0]
-    positions = [_project(p, radius) for p in points]
-    if not _inside(positions, radius):
-        for w in positions:
-            check_disk_point(w, radius)
-    com = _center(masses, math.fsum(masses), positions, radius)
-    return unproject(com.center, radius)
+        x, y, z = points[0]
+        return complex(a[0], b[0]), HPoint(float(x), float(y), float(z))
+    try:
+        mean = complex(
+            math.fsum(map(mul, masses, a)) / total,
+            math.fsum(map(mul, masses, b)) / total,
+        )
+        y = radius * math.tan(mean.imag)
+        rho = math.hypot(radius, y)
+        center = HPoint(rho * math.sinh(mean.real), y, rho * math.cosh(mean.real))
+    except (OverflowError, ValueError):
+        # fsum over +-inf or past the double range, or sinh and cosh past it.
+        center = None
+    if center is None or not (abs(mean.imag) < 0.5 * math.pi and center.z < math.inf):
+        raise NumericalError(
+            "the mean band coordinate names no representable sheet point"
+        )
+    return mean, center
 
 
 def com_euclidean(masses, positions) -> complex:
     """Flat weighted mean; the zero-curvature limit of com_disk."""
-    masses = _checked_masses(masses)
+    masses, total = _checked_masses(masses)
     positions = [complex(p) for p in positions]
     if len(masses) != len(positions):
         raise ValidationError(
@@ -317,7 +366,6 @@ def com_euclidean(masses, positions) -> complex:
         raise ValidationError("a system needs at least one particle")
     if len(positions) == 1:
         return positions[0]
-    total = math.fsum(masses)
     return complex(
         math.fsum(m * p.real for m, p in zip(masses, positions)) / total,
         math.fsum(m * p.imag for m, p in zip(masses, positions)) / total,

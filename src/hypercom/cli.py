@@ -19,11 +19,15 @@ deterministic: identical inputs give byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
+import re
 import sys
 
 from .barycenter import (
+    HYPERBOLOID,
     LINE,
+    _band_center,
     com_disk,
     com_line,
     disk_system,
@@ -66,7 +70,15 @@ CSV_HEADER_SWEEP = "theta,re_wc,im_wc,defect"
 CSV_HEADER_LIMIT = "R,error"
 
 
+# Negative numbers, in exponent form too (-3e-1), are positionals.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # Usage problems are input validation; keep them on exit code 1.
     def error(self, message):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
@@ -101,18 +113,28 @@ def _pair(value: complex) -> list[float]:
 
 def _cmd_com(args) -> int:
     system = load_system(args.input)
-    com = com_disk(to_disk_system(system))
-    results = {
-        "log_ratio_mean": _pair(com.log_ratio_mean),
-        "total_mass": com.total_mass,
-    }
-    if system.model == LINE:
+    radius = system.radius
+    results = {"total_mass": system.total_mass}
+    if system.model == HYPERBOLOID:
+        # Far centers keep their place in log_ratio_mean and
+        # center_hyperboloid; center_disk rounds into the rim band.
+        mean, lift = _band_center(
+            system.mass_column, system.total_mass, system.position_column, radius
+        )
+        results["log_ratio_mean"] = _pair(mean)
+        results["center_disk"] = _pair(radius * cmath.tanh(0.5 * mean))
+        results["center_hyperboloid"] = list(lift)
+    elif system.model == LINE:
         center = com_line(system)
-        lift = unproject_line(center, system.radius)
+        lift = unproject_line(center, radius)
+        com = com_disk(to_disk_system(system))
+        results["log_ratio_mean"] = _pair(com.log_ratio_mean)
         results["center_interval"] = center
         results["center_hyperbola"] = [lift.x, lift.y]
     else:
-        lift = unproject(com.center, system.radius)
+        com = com_disk(system)
+        lift = unproject(com.center, radius)
+        results["log_ratio_mean"] = _pair(com.log_ratio_mean)
         results["center_disk"] = _pair(com.center)
         results["center_hyperboloid"] = [lift.x, lift.y, lift.z]
     report = {

@@ -98,6 +98,26 @@ def _on_sheet(x, y, z, radius: float) -> bool:
     return z > 0.0 and residual <= TOL_CONSTRUCT * scale
 
 
+def _on_sheet_column(points, radius: float) -> bool:
+    """Whether every point passes _on_sheet without its overflow rescale.
+
+    The quadric test of _on_sheet, written once for a whole column.
+    Non-numbers, NaN and squares that overflow make it False; the caller
+    then walks the points with check_hpoint, which raises the first
+    error or accepts a point whose squares overflow.
+    """
+    rr = radius * radius
+    try:
+        return all([
+            z > 0.0
+            and abs(x * x + y * y - z * z + rr)
+            <= TOL_CONSTRUCT * (rr + x * x + y * y + z * z) < math.inf
+            for x, y, z in points
+        ])
+    except (TypeError, ValueError):
+        return False
+
+
 def hpoint(x: float, y: float, z: float, radius: float) -> HPoint:
     """Validating constructor for hyperboloid points."""
     return check_hpoint(HPoint(float(x), float(y), float(z)), check_radius(radius))
@@ -148,9 +168,18 @@ def check_interval_point(u: float, radius: float) -> float:
 
 
 def project(p, radius: float) -> complex:
-    """Stereographic image of a hyperboloid point in the disk model."""
+    """Stereographic image of a hyperboloid point in the disk model.
+
+    Far out R x and R y can overflow although the image lies inside the
+    disk; such an image is an input error, not an infinite point.
+    """
     radius = check_radius(radius)
-    return _project(check_hpoint(p, radius), radius)
+    w = _project(check_hpoint(p, radius), radius)
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise ValidationError(
+            f"point {tuple(p)!r} has no representable disk image for radius {radius!r}"
+        )
+    return w
 
 
 def _project(p, radius: float) -> complex:

@@ -12,7 +12,8 @@ the damped barycenter iteration from the validating public functions
 only.  The library's column-checked systems, trusted-kernel centers and
 sweep are held to exact equality with them (the same values, or the
 same first error); its Newton barycenter, to the same point within
-rounding.
+rounding.  The sheet center reference raises the same first error, and
+its center is the high-precision com_hyperboloid_highprec.
 """
 
 import math
@@ -227,16 +228,71 @@ def system_reference(masses, positions, radius, model):
     return particles
 
 
+def _sheet_dps(points, radius):
+    """40 digits plus twice the decimal exponent of the farthest reach / R.
+
+    A point at height z projects to 1 - |w| / R of about R / z, and the
+    inner product of two such points cancels z^2 / R^2.
+    """
+    reach = max(max(abs(p[0]), abs(p[1]), radius) for p in points)
+    return 40 + 2 * math.ceil(math.log10(reach) - math.log10(radius))
+
+
+def com_hyperboloid_highprec(masses, points, radius):
+    """Averaging center of sheet points, as a high-precision sheet point.
+
+    Each point is projected into the disk in high precision from its x
+    and y, with z recomputed on the sheet: far out, the double z can
+    round onto the light cone, and rounded to doubles the projected
+    points beyond about 29R land in the rim band.  The mean of
+    log((R + w) / (R - w)) is mapped back by R tanh(v / 2) and lifted.
+    Returns the (x, y, z) mpf triple; measure against it with
+    sheet_distance_highprec.
+    """
+    with mp.workdps(_sheet_dps(points, radius)):
+        r = mp.mpf(radius)
+        total = mp.fsum(mp.mpf(m) for m in masses)
+        mean = mp.fsum(
+            mp.mpf(m) * mp.log((r + w) / (r - w))
+            for m, w in zip(masses, (_disk_image_highprec(p, r) for p in points))
+        ) / total
+        w = r * mp.tanh(mean / 2)
+        ww = abs(w) ** 2
+        d = r * r - ww
+        return (2 * r * r * w.real / d, 2 * r * r * w.imag / d, r * (r * r + ww) / d)
+
+
+def _disk_image_highprec(p, r):
+    x, y = mp.mpf(p[0]), mp.mpf(p[1])
+    z = mp.sqrt(r * r + x * x + y * y)
+    return mp.mpc(r * x / (r + z), r * y / (r + z))
+
+
+def sheet_distance_highprec(p, q, radius):
+    """Geodesic distance between sheet points given by their x and y.
+
+    z is recomputed on the sheet for both, so a double triple is
+    measured at the sheet point over its (x, y).
+    """
+    with mp.workdps(_sheet_dps([p, q], radius)):
+        r = mp.mpf(radius)
+        (px, py), (qx, qy) = (mp.mpf(p[0]), mp.mpf(p[1])), (mp.mpf(q[0]), mp.mpf(q[1]))
+        pz = mp.sqrt(r * r + px * px + py * py)
+        qz = mp.sqrt(r * r + qx * qx + qy * qy)
+        gap = (pz * qz - px * qx - py * qy) / (r * r)
+        return float(r * mp.acosh(max(gap, 1)))
+
+
 def com_hyperboloid_reference(masses, points, radius):
     """Sheet center with every check made one particle at a time.
 
-    Sheet points first, then masses, then the rim band of each
-    projected point, as the center has always checked them; the center
-    itself comes from com_disk_reference.
+    Sheet points first, then masses, then the particle count, as the
+    center has always checked them.  A single particle is its own
+    center; otherwise the center is com_hyperboloid_highprec.
     """
-    from hypercom import ValidationError, disk_system, project, unproject
+    from hypercom import ValidationError
     from hypercom.barycenter import check_mass
-    from hypercom.geometry import check_disk_point, check_hpoint, check_radius
+    from hypercom.geometry import check_hpoint, check_radius
 
     radius = check_radius(radius)
     points = [check_hpoint(p, radius) for p in points]
@@ -247,9 +303,7 @@ def com_hyperboloid_reference(masses, points, radius):
         raise ValidationError("a system needs at least one particle")
     if len(points) == 1:
         return points[0]
-    positions = [check_disk_point(project(p, radius), radius) for p in points]
-    disk = disk_system(masses, positions, radius)
-    return unproject(com_disk_reference(disk).center, radius)
+    return com_hyperboloid_highprec(masses, points, radius)
 
 
 def com_line_reference(system):

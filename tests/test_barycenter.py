@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercom import (
+    HPoint,
+    NumericalError,
     ValidationError,
     arclength_from_pole,
     com_disk,
@@ -33,7 +35,9 @@ from hypercom import (
 from oracles import (
     arclength_quadrature,
     com_disk_highprec,
+    com_hyperboloid_highprec,
     com_line_bisection,
+    sheet_distance_highprec,
 )
 
 # Balanced partner of mass 2 for mass 1 at 0.5 (R = 1): 2 - sqrt(3),
@@ -265,6 +269,80 @@ def test_com_hyperboloid_balanced_diametric_pair_at_pole():
     points = [unproject(0.5 + 0j, 1.0), unproject(-PARTNER_12 + 0j, 1.0)]
     center = com_hyperboloid([1.0, 2.0], points, 1.0)
     assert center == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+
+
+def _sheet_point(distance, heading, radius):
+    """The sheet point ``distance`` R from the pole at the given heading."""
+    reach = radius * math.sinh(distance)
+    return (
+        reach * math.cos(heading),
+        reach * math.sin(heading),
+        radius * math.cosh(distance),
+    )
+
+
+@pytest.mark.parametrize("pool", ["headings", "x-axis", "pole-pair"])
+def test_com_hyperboloid_far_systems_match_the_oracle(pool):
+    # Points 30R to 40R from the pole project into the disk's rim band;
+    # through the disk they were rejected as "not inside the disk".
+    # The bound is the one of test_centers_equal_validating_coordinate_maps:
+    # a double places a point at height z only to about 1e-16 z.
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        radius = float(rng.choice((0.5, 1.0, 10.0)))
+        if pool == "pole-pair":
+            headings = [float(rng.uniform(0.0, 2.0 * math.pi))]
+        elif pool == "x-axis":
+            headings = [float(rng.choice((0.0, math.pi))) for _ in range(5)]
+        else:
+            headings = [float(h) for h in rng.uniform(0.0, 2.0 * math.pi, 5)]
+        points = [
+            _sheet_point(float(rng.uniform(30.0, 40.0)), h, radius) for h in headings
+        ]
+        if pool == "pole-pair":
+            points.insert(0, (0.0, 0.0, radius))
+        masses = [float(m) for m in rng.uniform(0.1, 10.0, len(points))]
+        center = com_hyperboloid(masses, points, radius)
+        expected = com_hyperboloid_highprec(masses, points, radius)
+        error = sheet_distance_highprec(center, expected, radius)
+        assert error <= 1e-15 * max(radius, center.z)
+
+
+def test_com_hyperboloid_accepts_a_point_whose_squares_overflow():
+    # 460R out x^2 overflows; the quadric test of the rescaled point
+    # accepts it, and the band coordinate a = asinh(x / R) = 460 holds.
+    far = (math.sinh(460.0), 0.0, math.cosh(460.0))
+    points = [(0.0, 0.0, 1.0), far]
+    center = com_hyperboloid([1.0, 1.0], points, 1.0)
+    assert math.asinh(center.x) == pytest.approx(230.0, rel=1e-15)
+    assert center.y == 0.0
+    expected = com_hyperboloid_highprec([1.0, 1.0], points, 1.0)
+    assert sheet_distance_highprec(center, expected, 1.0) <= 1e-15 * center.z
+    assert com_hyperboloid([2.0], [far], 1.0) == HPoint(*far)
+
+
+def test_com_hyperboloid_center_on_the_band_rim_is_a_numerical_error():
+    # atan(y / R) rounds to pi/2 for y > 5.8e15 R: the mean b of these
+    # points is the band's rim, and no sheet point is returned for it.
+    points = [(0.0, 1e17, 1e17), (0.0, 2e17, 2e17)]
+    with pytest.raises(NumericalError, match="no representable sheet point"):
+        com_hyperboloid([1.0, 3.0], points, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: disk_system(m, [0.1, -0.2j], 1.0),
+        lambda m: line_system(m, [0.1, -0.2], 1.0),
+        lambda m: hyperboloid_system(m, [(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)], 1.0),
+        lambda m: com_hyperboloid(m, [(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)], 1.0),
+        lambda m: com_euclidean(m, [0.1, -0.2j]),
+    ],
+)
+def test_total_mass_past_the_double_range_is_an_input_error(build):
+    # fsum raised "OverflowError: intermediate overflow in fsum".
+    with pytest.raises(ValidationError, match="total mass exceeds"):
+        build([1e308, 1e308])
 
 
 def test_model_converters_roundtrip():

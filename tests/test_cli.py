@@ -3,8 +3,11 @@
 import cmath
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -491,3 +494,95 @@ def test_radius_outside_domain_is_an_input_error(tmp_path, radius):
         assert done.returncode == 1
         assert len(done.stderr.splitlines()) == 1
         assert "curvature radius" in done.stderr
+
+
+def _one_line_failure(done, code):
+    assert done.returncode == code
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_com_far_sheet_pair_reports_its_center(tmp_path):
+    # Mass 1 at the pole and mass m at s R: the projected far point lies
+    # in the disk's rim band, and the command exited 1 with "not inside
+    # the disk".  The band mean a = s m / (1 + m) carries the center.
+    # For s = 45, m = 39 the center is 43.875R out and center_disk
+    # rounds onto the rim; the report shows that rather than rejecting
+    # the input.
+    for s, m in ((35.0, 2.0), (45.0, 39.0)):
+        far = (math.sinh(s), 0.0, math.cosh(s))
+        path = write_system(
+            tmp_path / "far.json", 1.0, "hyperboloid", [(1.0, (0.0, 0.0, 1.0)), (m, far)]
+        )
+        done = run_cli("com", "--input", str(path))
+        assert done.returncode == 0, done.stderr
+        for token in ("inf", "nan", "Infinity", "NaN"):
+            assert token not in done.stdout
+        results = json.loads(done.stdout)["results"]
+        mean = s * m / (1.0 + m)
+        a, b = results["log_ratio_mean"]
+        assert a == pytest.approx(mean, rel=1e-15) and b == 0.0
+        x, y, z = results["center_hyperboloid"]
+        assert math.asinh(x) == pytest.approx(mean, rel=1e-15) and y == 0.0
+        assert results["center_disk"] == [math.tanh(0.5 * a), 0.0]
+    assert results["center_disk"] == [1.0, 0.0]
+
+
+def test_com_center_on_the_band_rim_is_a_numerical_failure(tmp_path):
+    path = write_system(
+        tmp_path / "rim.json", 1.0, "hyperboloid",
+        [(1.0, (0.0, 1e17, 1e17)), (3.0, (0.0, 2e17, 2e17))],
+    )
+    done = run_cli("com", "--input", str(path))
+    _one_line_failure(done, 2)
+    assert "numerical failure" in done.stderr
+
+
+@pytest.mark.parametrize("model", ["line", "disk", "hyperboloid"])
+def test_com_total_mass_past_the_double_range_is_an_input_error(tmp_path, model):
+    # Two masses of 1e308 ended in "OverflowError: intermediate
+    # overflow in fsum".
+    coords = {"line": (0.1,), "disk": (0.1, 0.0), "hyperboloid": (0.0, 0.0, 1.0)}
+    path = write_system(
+        tmp_path / "heavy.json", 1.0, model, [(1e308, coords[model])] * 2
+    )
+    done = run_cli("com", "--input", str(path))
+    _one_line_failure(done, 1)
+    assert "total mass exceeds" in done.stderr
+
+
+def test_project_with_an_overflowing_image_is_an_input_error():
+    # R x overflowed, and the command printed "inf 0" with exit 0.
+    done = run_cli("project", "1e308", "0", "1e308", "--radius", "2")
+    _one_line_failure(done, 1)
+    assert "no representable disk image" in done.stderr
+
+
+def test_negative_exponent_coordinates_are_positionals():
+    # "-3e-1" was read as an option: exit 1, "required: coords".
+    done = run_cli("distance", "0.5", "0", "-3e-1", "0.2", "--radius", "1")
+    assert done.returncode == 0, done.stderr
+    marked = run_cli("distance", "--radius", "1", "--", "0.5", "0", "-0.3", "0.2")
+    assert done.stdout == marked.stdout
+    done = run_cli("project", "-1E0", "0", "1.4142135623730951", "--radius", "1")
+    assert done.returncode == 0, done.stderr
+
+
+def _readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    pattern = re.compile(r"^hypercom (.+?)\s+# -> (.*)$")
+    return [
+        match.groups()
+        for match in map(pattern.match, readme.read_text().splitlines())
+        if match
+    ]
+
+
+def test_readme_examples_print_what_the_readme_says():
+    examples = _readme_examples()
+    assert len(examples) >= 3
+    for command, expected in examples:
+        done = run_cli(*shlex.split(command))
+        assert done.returncode == 0, command
+        assert done.stdout == expected + "\n", command
