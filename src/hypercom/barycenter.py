@@ -420,15 +420,8 @@ def lever_point(m1, p1, m2, p2, radius: float) -> complex:
 
     On the constant-speed geodesic from p1 the residual
     m1 d(p1, c) - m2 d(p2, c) is (m1 + m2) t L - m2 L at parameter t, so
-    the balance point is t = m2 / (m1 + m2) in closed form.  The curve
-    is evaluated from the endpoint nearer the pole: from a point near
-    the rim its large terms would cancel on the way back toward the pole.
+    the balance point is t = m2 / (m1 + m2) in closed form.
     """
     m1 = check_mass(m1)
     m2 = check_mass(m2)
-    radius = check_radius(radius)
-    p1 = check_disk_point(p1, radius)
-    p2 = check_disk_point(p2, radius)
-    if abs(p2) < abs(p1):
-        return geodesic_between(p2, p1, radius).point(m1 / (m1 + m2))
     return geodesic_between(p1, p2, radius).point(m2 / (m1 + m2))

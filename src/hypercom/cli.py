@@ -32,7 +32,6 @@ from .barycenter import (
     com_line,
     disk_system,
     euclidean_limit_error,
-    lever_residual,
     to_disk_system,
     to_hyperboloid_system,
 )
@@ -53,6 +52,7 @@ from .files import (
 from .geometry import (
     BOUNDARY_MARGIN,
     TOL_CONSTRUCT,
+    _band_distance,
     arclength_from_pole,
     disk_distance,
     hpoint,
@@ -258,22 +258,32 @@ def _cmd_karcher_compare(args) -> int:
     settings = KarcherSettings(tol=args.tol)
     mean_point = karcher_mean(to_hyperboloid_system(system), settings)
     mean_disk = project(mean_point, radius)
-    disk = to_disk_system(system)
-    com = com_disk(disk)
+    masses = system.mass_column
+    if system.model == HYPERBOLOID:
+        # The band center and band distances: far points never enter the disk.
+        points = system.position_column
+        mean, center = _band_center(masses, system.total_mass, points, radius)
+        center_disk = radius * cmath.tanh(0.5 * mean)
+        probes = (center, mean_point)
+        distance = _band_distance
+    else:
+        disk = to_disk_system(system)
+        points = disk.position_column
+        center_disk = com_disk(disk).center
+        probes = (center_disk, mean_disk)
+        distance = disk_distance
     results = {
-        "center_disk": _pair(com.center),
+        "center_disk": _pair(center_disk),
         "karcher_disk": _pair(mean_disk),
         "karcher_hyperboloid": [mean_point.x, mean_point.y, mean_point.z],
-        "separation": disk_distance(com.center, mean_disk, radius),
+        "separation": distance(*probes, radius),
     }
-    if len(disk.position_column) == 2:
-        (ma, mb), (wa, wb) = disk.mass_column, disk.position_column
-        results["lever_residual_com"] = lever_residual(
-            ma, wa, mb, wb, com.center, radius
-        )
-        results["lever_residual_karcher"] = lever_residual(
-            ma, wa, mb, wb, mean_disk, radius
-        )
+    if len(points) == 2:
+        (ma, mb), (pa, pb) = masses, points
+        for key, probe in zip(("lever_residual_com", "lever_residual_karcher"), probes):
+            results[key] = ma * distance(pa, probe, radius) - mb * distance(
+                pb, probe, radius
+            )
     report = {
         "command": "karcher-compare",
         "input_sha256": file_digest(args.input),

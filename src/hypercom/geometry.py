@@ -19,8 +19,10 @@ not an inverse of the projection, so it is not used here.
 The one-dimensional model of the collinear case is the y = 0 section:
 its branch x^2 - y^2 = -R^2, y > 0 is the sheet curve (x, 0, y), which
 projects to the real diameter (-R, R), and its checks and maps are the
-sheet's and the disk's on that section.  All functions are pure;
-nothing in this module holds mutable state.
+sheet's and the disk's on that section.  Distances and geodesics of
+the disk are computed in the disk, from R^2 - |w|^2 formed exactly,
+never through the lift: near the rim the lift rounds by 1e-16 z1 z2.
+All functions are pure; nothing in this module holds mutable state.
 """
 
 from __future__ import annotations
@@ -268,10 +270,34 @@ def _distance(p: HPoint, q: HPoint, radius: float) -> float:
     return _distance_from_gap(gap, radius)
 
 
+def _band_distance(p, q, radius: float) -> float:
+    """Distance of validated sheet points, read from their band coordinates.
+
+    v = asinh(x / rho) + i atan(y / R), rho = hypot(R, y), and
+    sinh(d / 2R) = |sinh((v1 - v2) / 2)| sqrt(rho1 rho2) / R: no
+    difference of large terms, however far out the points lie.
+    """
+    rho1, rho2 = math.hypot(radius, p[1]), math.hypot(radius, q[1])
+    a = math.asinh(p[0] / rho1) - math.asinh(q[0] / rho2)
+    b = math.atan(p[1] / radius) - math.atan(q[1] / radius)
+    scale = math.sqrt(rho1 / radius) * math.sqrt(rho2 / radius)
+    return 2.0 * radius * math.asinh(abs(cmath.sinh(0.5 * complex(a, b))) * scale)
+
+
 def disk_distance(w1, w2, radius: float) -> float:
-    """Geodesic distance in the disk model, pulled back through the lift."""
+    """Geodesic distance in the disk model, in closed form in the disk.
+
+    d = 2 R asinh(R |w1 - w2| / (sqrt(g1) sqrt(g2))), g = R^2 - |w|^2;
+    the roots are taken apart, as g1 g2 underflows at R = 1e-100.
+    """
     radius = check_radius(radius)
-    return _distance(unproject(w1, radius), unproject(w2, radius), radius)
+    return _disk_distance(check_disk_point(w1, radius), check_disk_point(w2, radius), radius)
+
+
+def _disk_distance(w1: complex, w2: complex, radius: float) -> float:
+    """Kernel of disk_distance for validated points and radius."""
+    roots = math.sqrt(_rim_gap(w1, radius)) * math.sqrt(_rim_gap(w2, radius))
+    return 2.0 * radius * math.asinh(radius * abs(w1 - w2) / roots)
 
 
 def arclength_from_pole(u: float, radius: float) -> float:
@@ -304,67 +330,56 @@ class GeodesicSegment:
 
     point(0) is start, point(1) is end, and
     disk_distance(point(s), point(t)) = |s - t| * length for s, t in
-    [0, 1].  The curve lives on the hyperboloid (the plane through the
-    lifted endpoints and the origin) and is projected back, so there is
-    no circle-versus-diameter case split.
+    [0, 1].  A point is computed from the nearer end a toward the other
+    end b, in the disk: the isometry that sends a to 0 and b to
+    R tanh(T) e, T = L / 2R, maps R tanh(tT) e back to
+    a + e (g / R) sinh(tT) sinh(T) / (sinh(T - tT) + sinh(tT) cosh(T) g / q),
+    with g = R^2 - |a|^2 and q = R^2 - conj(a) b.  Both terms of the
+    denominator have positive real parts: nothing cancels near the rim.
     """
 
     start: complex
     end: complex
     radius: float
     length: float
-    base: HPoint
-    tangent: tuple[float, float, float]
 
     def point(self, t: float) -> complex:
-        # cosh(s) p + sinh(s) R v, evaluated through the null directions
-        # p +/- R v; the split keeps the far end accurate where the
-        # cosh/sinh terms would cancel e^s-sized intermediates.
-        s = t * self.length / self.radius
-        r = self.radius
-        bx, by, bz = self.base
-        vx, vy, vz = self.tangent
-        ep = 0.5 * math.exp(s)
-        em = 0.5 * math.exp(-s)
-        return project(
-            HPoint(
-                ep * (bx + r * vx) + em * (bx - r * vx),
-                ep * (by + r * vy) + em * (by - r * vy),
-                ep * (bz + r * vz) + em * (bz - r * vz),
-            ),
-            r,
+        r, a, b = self.radius, self.start, self.end
+        if t > 0.5:
+            a, b, t = b, a, 1.0 - t
+        gap = _rim_gap(a, r)
+        q = gap + a.conjugate() * (a - b)
+        image = (b - a) / q
+        half = 0.5 * self.length / r
+        st = math.sinh(t * half)
+        return a + image / abs(image) * (gap / r) * st * math.sinh(half) / (
+            math.sinh((1.0 - t) * half) + st * math.cosh(half) * (gap / q)
         )
 
 
-def geodesic_between(a, b, radius: float) -> GeodesicSegment:
-    """Geodesic segment joining two distinct disk points.
+def _rim_gap(w: complex, radius: float) -> float:
+    """R^2 - |w|^2, correctly rounded: fsum of the squares split exactly.
 
-    The unit tangent at the lift of ``a`` comes from Minkowski
-    Gram-Schmidt on the chord toward the lift of ``b``.
+    R - |w| would lose near the rim what rounding |w| costs off the axes.
     """
+    parts = []
+    for x, sign in ((radius, 1.0), (w.real, -1.0), (w.imag, -1.0)):
+        c = 134217729.0 * x  # Veltkamp's split, (2^27 + 1) x
+        head = c - (c - x)
+        tail = x - head
+        hi = x * x
+        parts += (sign * hi, sign * (((head * head - hi) + 2.0 * head * tail) + tail * tail))
+    return math.fsum(parts)
+
+
+def geodesic_between(a, b, radius: float) -> GeodesicSegment:
+    """Geodesic segment joining two distinct disk points."""
     radius = check_radius(radius)
     a = check_disk_point(a, radius)
     b = check_disk_point(b, radius)
-    p = _unproject(a, radius)
-    q = _unproject(b, radius)
-    length = _distance(p, q, radius)
-    if a == b or length == 0.0:
+    if a == b:
         raise ValidationError(f"degenerate geodesic: endpoints {a!r} coincide")
-    coef = minkowski_inner(p, q) / (radius * radius)
-    tx = q.x + coef * p.x
-    ty = q.y + coef * p.y
-    tz = q.z + coef * p.z
-    # <t, t> = R^2 sinh^2(L/R) exactly; the closed form avoids the
-    # square cancellation that squaring the components runs into.
-    norm = radius * math.sinh(length / radius)
-    return GeodesicSegment(
-        start=a,
-        end=b,
-        radius=radius,
-        length=length,
-        base=p,
-        tangent=(tx / norm, ty / norm, tz / norm),
-    )
+    return GeodesicSegment(a, b, radius, _disk_distance(a, b, radius))
 
 
 def rotate_disk(w, angle: float) -> complex:

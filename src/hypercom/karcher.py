@@ -290,11 +290,14 @@ def karcher_solve(
     points = system.position_column
     if len(points) == 1:
         return KarcherResult(points[0], 0, 0.0)
-    total = system.total_mass
+    # Masses in units of a power of two near the total: exact, and the
+    # products m t^2 of masses near the double range stay finite.
+    shift = -math.frexp(system.total_mass)[1]
+    total = math.ldexp(system.total_mass, shift)
     particles = []
     for m, p in zip(system.mass_column, points):
         b, ux, uy = _polar(p, radius)
-        particles.append((m, b, math.sinh(b), ux, uy))
+        particles.append((math.ldexp(m, shift), b, math.sinh(b), ux, uy))
     if initial is not None:
         a, ex, ey = _polar(check_hpoint(initial, radius), radius)
     else:

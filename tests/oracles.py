@@ -175,18 +175,23 @@ def lever_point_bisection(m1, p1, m2, p2, radius, rtol=1e-12, max_steps=200):
 def lever_residual_highprec(m1, p1, m2, p2, probe, radius, dps=40):
     """m1 d(p1, c) - m2 d(p2, c) from the disk distance formula in mpmath."""
     with mp.workdps(dps):
-        r = mp.mpf(radius)
-
-        def distance(a, b):
-            a, b = mp.mpc(a), mp.mpc(b)
-            gap = 2 * r * r * abs(a - b) ** 2 / (
-                (r * r - abs(a) ** 2) * (r * r - abs(b) ** 2)
-            )
-            return r * mp.acosh(1 + gap)
-
         return float(
-            mp.mpf(m1) * distance(p1, probe) - mp.mpf(m2) * distance(p2, probe)
+            mp.mpf(m1) * _disk_distance_mp(p1, probe, radius)
+            - mp.mpf(m2) * _disk_distance_mp(p2, probe, radius)
         )
+
+
+def disk_distance_highprec(a, b, radius, dps=40):
+    """Disk distance R acosh(1 + 2 R^2 |a - b|^2 / ((R^2 - |a|^2)(R^2 - |b|^2)))."""
+    with mp.workdps(dps):
+        return float(_disk_distance_mp(a, b, radius))
+
+
+def _disk_distance_mp(a, b, radius):
+    r = mp.mpf(radius)
+    a, b = mp.mpc(a), mp.mpc(b)
+    gap = 2 * r * r * abs(a - b) ** 2 / ((r * r - abs(a) ** 2) * (r * r - abs(b) ** 2))
+    return r * mp.acosh(1 + gap)
 
 
 def system_reference(masses, positions, radius, model):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import sheet_distance_highprec
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -435,6 +437,32 @@ def test_karcher_compare_far_pair_on_the_axis_converges(tmp_path):
     x, y, z = results["karcher_hyperboloid"]
     assert math.asinh(x) == pytest.approx(10.0, abs=1e-12)
     assert y == 0.0
+
+
+def test_karcher_compare_far_sheet_pair_stays_on_the_sheet(tmp_path):
+    # Mass 1 at the pole and mass 2 at 35R: the projected far point lies
+    # in the rim band, and the command exited 1 with "not inside the
+    # disk".  The center now comes from the band coordinate, as in
+    # `com`, and the separation and lever residuals from sheet distances.
+    near, far = (0.0, 0.0, 1.0), (math.sinh(35.0), 0.0, math.cosh(35.0))
+    path = write_system(
+        tmp_path / "far.json", 1.0, "hyperboloid", [(1.0, near), (2.0, far)]
+    )
+    done = run_cli("karcher-compare", "--input", str(path))
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    com = json.loads(run_cli("com", "--input", str(path)).stdout)["results"]
+    assert results["center_disk"] == com["center_disk"]
+    mean = results["karcher_hyperboloid"]
+    assert math.asinh(mean[0]) == pytest.approx(35.0 * 2.0 / 3.0, rel=1e-15)
+    center = com["center_hyperboloid"]
+    separation = sheet_distance_highprec(center, mean, 1.0)
+    assert abs(results["separation"] - separation) <= 1e-12
+    for key, probe in (("lever_residual_com", center), ("lever_residual_karcher", mean)):
+        want = sheet_distance_highprec(near, probe, 1.0) - 2.0 * sheet_distance_highprec(
+            far, probe, 1.0
+        )
+        assert abs(results[key] - want) <= 1e-12 * 3.0 * 35.0
 
 
 def test_disk_point_with_overflowing_modulus_is_an_input_error(tmp_path):

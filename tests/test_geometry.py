@@ -36,9 +36,10 @@ from hypercom import (
 )
 from hypercom.geometry import _distance_from_gap
 
-from oracles import arclength_quadrature
+from oracles import arclength_quadrature, disk_distance_highprec
 
 RADII = (0.5, 1.0, 10.0)
+EPS = 2.0**-52
 
 
 def polar_hpoint(arc, angle, radius):
@@ -305,15 +306,20 @@ def test_distance_matches_quadrature():
 
 
 def test_disk_distance_is_pullback_and_rotation_invariant():
+    # The disk distance is computed in the disk, no longer through the
+    # lifts: it is held to mpmath (worst 3.5e-16 relative here) and to
+    # the sheet distance of the lifts within that kernel's rounding.
     rng = np.random.default_rng(9)
     for _ in range(200):
         radius = float(rng.choice(RADII))
         w1 = complex(*rng.uniform(-0.7, 0.7, 2)) * radius
         w2 = complex(*rng.uniform(-0.7, 0.7, 2)) * radius
         d = disk_distance(w1, w2, radius)
-        assert d == hyperboloid_distance(
+        assert abs(d - disk_distance_highprec(w1, w2, radius)) <= 1e-15 * d
+        lifted = hyperboloid_distance(
             unproject(w1, radius), unproject(w2, radius), radius
         )
+        assert abs(d - lifted) <= 1e-13 * d
         rotated = disk_distance(
             rotate_disk(w1, 0.7), rotate_disk(w2, 0.7), radius
         )
@@ -357,6 +363,43 @@ def test_triangle_inequality():
         assert disk_distance(a, c, 1.0) <= disk_distance(a, b, 1.0) + disk_distance(
             b, c, 1.0
         ) + 1e-12
+
+
+def _same_ray(rng, gap, angle, radius):
+    # |w| = R (1 - delta), delta uniform in [gap / 100, gap].
+    return radius * (1.0 - gap * rng.uniform(0.01, 1.0)) * cmath.exp(1j * angle)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-8])
+@pytest.mark.parametrize("angle", [0.0, 0.7])
+def test_disk_distance_same_ray_near_the_rim(gap, angle):
+    # Through the lift these lost everything: relative errors up to 15
+    # and 31 at 1e-8, and NumericalError on most pairs off the axis.
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        radius = float(rng.choice(RADII))
+        w1, w2 = (_same_ray(rng, gap, angle, radius) for _ in range(2))
+        if w1 == w2:
+            continue
+        want = disk_distance_highprec(w1, w2, radius)
+        assert abs(disk_distance(w1, w2, radius) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("radius", [1e-100, 1.0, 1e100])
+def test_geodesic_from_a_near_rim_start_keeps_constant_speed(radius):
+    # Evaluated from a start 1e-8 R from the rim, points back toward the
+    # pole left the sheet (ValidationError from project).
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        start = _same_ray(rng, 1e-8, rng.uniform(0.0, 2.0 * math.pi), radius)
+        end = radius * complex(*rng.uniform(-0.99, 0.99, 2)) / math.sqrt(2.0)
+        seg = geodesic_between(start, end, radius)
+        for t in np.linspace(0.0, 1.0, 11):
+            c = seg.point(float(t))
+            along = disk_distance_highprec(start, c, radius)
+            # Moving c by 4 ulps of R moves it this far along the curve.
+            floor = 8.0 * EPS * radius**3 / ((radius - abs(c)) * (radius + abs(c)))
+            assert abs(along - t * seg.length) <= 1e-13 * max(seg.length, radius) + floor
 
 
 # --- arclengths ---------------------------------------------------------------

@@ -26,6 +26,8 @@ from hypercom import (
     unproject,
 )
 
+from oracles import karcher_gradient_norm_highprec
+
 POLE = HPoint(0.0, 0.0, 1.0)
 
 
@@ -222,3 +224,21 @@ def test_karcher_settings_validation():
         KarcherSettings(max_iter=0)
     with pytest.raises(ValidationError):
         karcher_mean(disk_system([1.0], [0.2 + 0j], 1.0))
+
+
+def test_karcher_masses_near_the_double_range():
+    # Three masses of 5e307 (total 1.5e308, finite) overflowed m t^2 and
+    # raised NumericalError ("iterate left the sheet", a nan point).
+    # The solver now works in masses scaled by a power of two, exactly.
+    from hypercom import karcher_solve
+
+    points = [
+        (0.0, 0.0, 1.0),
+        (math.sinh(2.0), 0.0, math.cosh(2.0)),
+        (0.0, math.sinh(3.0), math.cosh(3.0)),
+    ]
+    heavy = karcher_solve(hyperboloid_system([5e307] * 3, points, 1.0))
+    unit = karcher_solve(hyperboloid_system([1.0] * 3, points, 1.0))
+    assert heavy.point == pytest.approx(unit.point, rel=4e-16, abs=0.0)
+    gradient = karcher_gradient_norm_highprec([5e307] * 3, points, heavy.point, 1.0)
+    assert gradient <= 1e-15

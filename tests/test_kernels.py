@@ -260,6 +260,47 @@ def test_lever_point_no_worse_than_bisection_near_the_rim():
     assert worst_closed <= worst_bisection
 
 
+def _rim_pair(rng, gap, opposite):
+    # Both endpoints with 1 - |w| uniform in [gap / 100, gap], R = 1;
+    # random headings, or opposite ones (a diameter).
+    heading = rng.uniform(0.0, 2.0 * math.pi)
+    other = heading + math.pi if opposite else rng.uniform(0.0, 2.0 * math.pi)
+    return tuple(
+        (1.0 - gap * rng.uniform(0.01, 1.0)) * cmath.exp(1j * h) for h in (heading, other)
+    )
+
+
+@pytest.mark.parametrize(
+    "gap, opposite, bound",
+    # Worst measured: 3.6e-16 inside; near the rim 1.3e-13, 6.8e-13 and
+    # 2.9e-12 for random headings, 4.4e-15, 2.1e-14 and 4.9e-13 on
+    # diameters.  Through the lift to the sheet most near-rim pairs
+    # raised ValidationError.
+    [
+        (None, False, 2e-15),
+        (1e-4, False, 1e-12),
+        (1e-4, True, 1e-13),
+        (1e-6, False, 1e-11),
+        (1e-6, True, 1e-12),
+        (1e-8, False, 3e-11),
+        (1e-8, True, 1e-11),
+    ],
+    ids=["interior", "rim-1e-4", "rim-1e-4-diameter", "rim-1e-6",
+         "rim-1e-6-diameter", "rim-1e-8", "rim-1e-8-diameter"],
+)
+def test_lever_point_balances_near_the_rim(gap, opposite, bound):
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        if gap is None:
+            w1, w2 = (complex(*rng.uniform(-0.7, 0.7, 2)) for _ in range(2))
+        else:
+            w1, w2 = _rim_pair(rng, gap, opposite)
+        m1, m2 = (float(m) for m in rng.uniform(0.5, 3.0, 2))
+        closed = lever_point(m1, w1, m2, w2, 1.0)
+        scale = (m1 + m2) * max(disk_distance(w1, w2, 1.0), 1.0)
+        assert abs(lever_residual_highprec(m1, w1, m2, w2, closed, 1.0)) <= bound * scale
+
+
 BUILDERS = {"line": line_system, "disk": disk_system, "hyperboloid": hyperboloid_system}
 
 
