@@ -249,19 +249,19 @@ def com_line(system: MassedSystem) -> float:
     returned unchanged.
     """
     _require_model(system, LINE)
-    positions = system.position_column
-    if len(positions) == 1:
-        return float(positions[0])
     masses, total = system.mass_column, system.total_mass
-    return _line_center(masses, total, positions, system.radius)[0]
+    return _line_center(masses, total, system.position_column, system.radius)[0]
 
 
 def _line_center(masses, total: float, positions, radius: float) -> tuple[float, float]:
-    """Center of two or more validated line particles, and its mean coordinate.
+    """Center of validated line particles, and its mean coordinate.
 
-    The kernel of com_line; ``total`` is the exact sum of ``masses``.
+    The kernel of com_line; ``total`` is the exact sum of ``masses``.  A
+    single particle is its own center.
     """
     coords = [math.log((radius + u) / (radius - u)) for u in positions]
+    if len(positions) == 1:
+        return float(positions[0]), coords[0]
     mean = math.fsum(map(mul, masses, coords)) / total
     return radius * math.tanh(0.5 * mean), mean
 

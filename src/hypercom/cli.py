@@ -28,8 +28,8 @@ from .barycenter import (
     HYPERBOLOID,
     LINE,
     _band_center,
+    _line_center,
     com_disk,
-    com_line,
     disk_system,
     euclidean_limit_error,
     to_disk_system,
@@ -52,7 +52,7 @@ from .files import (
 from .geometry import (
     BOUNDARY_MARGIN,
     TOL_CONSTRUCT,
-    _band_distance,
+    _sheet_distance,
     arclength_from_pole,
     disk_distance,
     hpoint,
@@ -125,10 +125,11 @@ def _cmd_com(args) -> int:
         results["center_disk"] = _pair(radius * cmath.tanh(0.5 * mean))
         results["center_hyperboloid"] = list(lift)
     elif system.model == LINE:
-        center = com_line(system)
+        center, mean = _line_center(
+            system.mass_column, system.total_mass, system.position_column, radius
+        )
         lift = unproject_line(center, radius)
-        com = com_disk(to_disk_system(system))
-        results["log_ratio_mean"] = _pair(com.log_ratio_mean)
+        results["log_ratio_mean"] = [mean, 0.0]
         results["center_interval"] = center
         results["center_hyperbola"] = [lift.x, lift.y]
     else:
@@ -217,9 +218,13 @@ def _parse_sweep(text: str) -> list[float]:
 def _cmd_limit_sweep(args) -> int:
     system = load_system(args.input)
     radii = _parse_sweep(args.sweep)
-    disk = to_disk_system(system)
-    masses = disk.mass_column
-    positions = disk.position_column
+    masses = system.mass_column
+    if system.model == HYPERBOLOID:
+        # project makes a point with no representable disk image an input
+        # error; to_disk_system would hold the image to the rim band of R.
+        positions = [project(p, system.radius) for p in system.position_column]
+    else:
+        positions = list(map(complex, system.position_column))
     smallest = min(radii)
     for w in positions:
         if abs(w) >= smallest * (1.0 - BOUNDARY_MARGIN):
@@ -260,12 +265,12 @@ def _cmd_karcher_compare(args) -> int:
     mean_disk = project(mean_point, radius)
     masses = system.mass_column
     if system.model == HYPERBOLOID:
-        # The band center and band distances: far points never enter the disk.
+        # The band center and sheet distances: far points never enter the disk.
         points = system.position_column
         mean, center = _band_center(masses, system.total_mass, points, radius)
         center_disk = radius * cmath.tanh(0.5 * mean)
         probes = (center, mean_point)
-        distance = _band_distance
+        distance = _sheet_distance
     else:
         disk = to_disk_system(system)
         points = disk.position_column

@@ -22,6 +22,10 @@ projects to the real diameter (-R, R), and its checks and maps are the
 sheet's and the disk's on that section.  Distances and geodesics of
 the disk are computed in the disk, from R^2 - |w|^2 formed exactly,
 never through the lift: near the rim the lift rounds by 1e-16 z1 z2.
+Sheet distances and the karcher module's log, exp and barycenter steps
+share one kernel: points as rapidity asinh(r/R) and xy heading
+(_polar), and the boost of one point to the pole from these
+(_pole_log, _step), never from differences of coordinates of size z.
 All functions are pure; nothing in this module holds mutable state.
 """
 
@@ -32,15 +36,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 # On-surface validation at construction; relative to the point's scale.
 TOL_CONSTRUCT = 1e-9
 # Disk points with |w| > R (1 - BOUNDARY_MARGIN) are rejected outright:
 # the projection denominator R^2 - |w|^2 has lost all precision there.
 BOUNDARY_MARGIN = 1e-12
-# acosh arguments in [1 - ACOSH_CLAMP, 1) count as coincident points.
-ACOSH_CLAMP = 1e-12
 
 
 class HPoint(NamedTuple):
@@ -231,57 +233,71 @@ def minkowski_inner(p, q) -> float:
     return p[0] * q[0] + p[1] * q[1] - p[2] * q[2]
 
 
-def _distance_from_gap(gap: float, radius: float) -> float:
-    """Distance from the acosh-argument gap (arg - 1), with the clamp contract.
-
-    Gaps in [-ACOSH_CLAMP, 0) count as coincident points (rounding);
-    anything further below is a genuine failure of the timelike-angle
-    formula.  acosh(1 + g) is evaluated as 2 asinh(sqrt(g / 2)), which
-    keeps small distances accurate to O(eps) instead of O(sqrt(eps)).
-    """
-    if gap < 0.0:
-        if gap >= -ACOSH_CLAMP:
-            return 0.0
-        raise NumericalError(
-            f"acosh argument {1.0 + gap!r} fell below 1 beyond tolerance"
-        )
-    return 2.0 * radius * math.asinh(math.sqrt(0.5 * gap))
-
-
 def hyperboloid_distance(p, q, radius: float) -> float:
     """Geodesic distance between two points of the upper sheet.
 
-    Mathematically R acosh(-<p, q> / R^2).  The argument gap is taken
-    from the Minkowski norm of p - q when the points are close (the
-    inner-product form loses half the digits there) and from the inner
-    product otherwise.
+    Mathematically R acosh(-<p, q> / R^2); read from the rapidities and
+    headings of the points by _pole_log, so no difference of ambient
+    coordinates of size z enters, however far out the points lie.
     """
     radius = check_radius(radius)
-    return _distance(check_hpoint(p, radius), check_hpoint(q, radius), radius)
+    return _sheet_distance(check_hpoint(p, radius), check_hpoint(q, radius), radius)
 
 
-def _distance(p: HPoint, q: HPoint, radius: float) -> float:
+def _sheet_distance(p, q, radius: float) -> float:
     """Kernel of hyperboloid_distance for validated points and radius."""
-    rr = radius * radius
-    dx, dy, dz = p.x - q.x, p.y - q.y, p.z - q.z
-    gap = (dx * dx + dy * dy - dz * dz) / (2.0 * rr)
-    if gap > 0.5:
-        gap = -minkowski_inner(p, q) / rr - 1.0
-    return _distance_from_gap(gap, radius)
+    a, ex, ey = _polar(p, radius)
+    b, ux, uy = _polar(q, radius)
+    t, _, _ = _pole_log(a, math.cosh(a), math.sinh(a), ex, ey, b, math.sinh(b), ux, uy)
+    return radius * t
 
 
-def _band_distance(p, q, radius: float) -> float:
-    """Distance of validated sheet points, read from their band coordinates.
+def _polar(p, radius: float) -> tuple[float, float, float]:
+    # Rapidity asinh(r/R) and unit heading of the xy part of a sheet
+    # point; z is implied by them, so its rounding never enters.
+    r = math.hypot(p[0], p[1])
+    if r == 0.0:
+        return 0.0, 1.0, 0.0
+    return math.asinh(r / radius), p[0] / r, p[1] / r
 
-    v = asinh(x / rho) + i atan(y / R), rho = hypot(R, y), and
-    sinh(d / 2R) = |sinh((v1 - v2) / 2)| sqrt(rho1 rho2) / R: no
-    difference of large terms, however far out the points lie.
+
+def _sheet_point(a: float, ex: float, ey: float, radius: float) -> HPoint:
+    s = radius * math.sinh(a)
+    return HPoint(s * ex, s * ey, radius * math.cosh(a))
+
+
+def _pole_log(a, ca, sa, ex, ey, b, sb, ux, uy) -> tuple[float, float, float]:
+    """(t, along, across): the point (b, u) seen from (a, e) moved to the pole.
+
+    Rapidities and headings as of _polar; ca, sa, sb = cosh a, sinh a,
+    sinh b.  The boost maps (b, u) to (along, across, .) R =
+    (sinh(b - a) - 2 cosh(a) sinh(b) h, sinh(b) sin(gap), .) R in the
+    basis (e, e turned by a right angle), h = sin^2(gap/2), at distance
+    t R with sinh^2(t/2) = sinh^2((b - a)/2) + sinh(a) sinh(b) h: no
+    difference of ambient coordinates of size z.
     """
-    rho1, rho2 = math.hypot(radius, p[1]), math.hypot(radius, q[1])
-    a = math.asinh(p[0] / rho1) - math.asinh(q[0] / rho2)
-    b = math.atan(p[1] / radius) - math.atan(q[1] / radius)
-    scale = math.sqrt(rho1 / radius) * math.sqrt(rho2 / radius)
-    return 2.0 * radius * math.asinh(abs(cmath.sinh(0.5 * complex(a, b))) * scale)
+    # sinh(b) h first: it is exactly 0 on a common diameter, where
+    # sinh(a) sinh(b) alone can overflow.
+    sbh = sb * 0.25 * ((ux - ex) ** 2 + (uy - ey) ** 2)
+    half = math.sinh(0.5 * (b - a))
+    t = 2.0 * math.asinh(math.sqrt(half * half + sa * sbh))
+    along = 2.0 * half * math.sqrt(1.0 + half * half) - 2.0 * ca * sbh
+    across = sb * (ex * uy - ey * ux)
+    return t, along, across
+
+
+def _step(a: float, ex: float, ey: float, de: float, dp: float):
+    """Rapidity and heading reached by the pole vector (de, dp) R, boosted back."""
+    tau = math.hypot(de, dp)
+    if tau == 0.0:
+        return a, ex, ey
+    st = math.sinh(tau)
+    along = math.cosh(a) * st * (de / tau) + math.sinh(a) * math.cosh(tau)
+    across = st * (dp / tau)
+    r = math.hypot(along, across)
+    if r == 0.0:
+        return 0.0, 1.0, 0.0
+    return math.asinh(r), (along * ex - across * ey) / r, (along * ey + across * ex) / r
 
 
 def disk_distance(w1, w2, radius: float) -> float:

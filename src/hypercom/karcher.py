@@ -15,14 +15,15 @@ the objective rises, the iteration returns to the point it left and
 takes the damped gradient step instead, of length 1 / mean of
 (d_k/R) coth(d_k/R), the local smoothness bound.
 
-The boost is evaluated from each point's rapidity asinh(r/R) and
-heading in the xy plane, never from differences of ambient coordinates,
-so what rounding costs grows with a particle's distance from the
-iterate rather than from the pole: pairs 40R apart on a diameter
-converge in one step.  Where doubles fix the particles too coarsely
-for the tolerance (far from the pole, off the axes), the gradient
-stops decreasing; the iteration then raises ConvergenceError after
-STALL_STEPS evaluations instead of running to max_iter.
+The boost is the geometry module's sheet kernel, evaluated from each
+point's rapidity asinh(r/R) and heading in the xy plane, never from
+differences of ambient coordinates, so what rounding costs grows with
+a particle's distance from the iterate rather than from the pole:
+pairs 40R apart on a diameter converge in one step.  log_map and
+exp_map are thin wrappers over it.  Where doubles fix the particles
+too coarsely for the tolerance (far from the pole, off the axes), the
+gradient stops decreasing; the iteration then raises ConvergenceError
+after STALL_STEPS evaluations instead of running to max_iter.
 
 For two particles the minimizer lies on their geodesic and satisfies
 the lever rule m1 d(x, x1) = m2 d(x, x2), so it coincides with
@@ -40,7 +41,10 @@ from .barycenter import HYPERBOLOID, MassedSystem, _require_model
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .geometry import (
     HPoint,
-    _distance,
+    _pole_log,
+    _polar,
+    _sheet_point,
+    _step,
     check_hpoint,
     check_radius,
     minkowski_inner,
@@ -105,8 +109,10 @@ def _is_tangent(base: HPoint, v, radius: float) -> bool:
 def exp_map(vector: TangentVector, radius: float) -> HPoint:
     """Follow the geodesic from the base point for arclength |v|.
 
-    cosh(|v|/R) p + R sinh(|v|/R) v/|v| with |v| the Minkowski norm; the
-    zero vector returns the base point itself.
+    The step of geometry._step by the pole vector d_e = (v_x e_x + v_y e_y)
+    / cosh a, d_p = v_y e_x - v_x e_y (a, e: the base's rapidity and
+    heading), products only.  The zero vector returns the base point;
+    an endpoint that is not a finite double raises ValidationError.
     """
     radius = check_radius(radius)
     base = check_hpoint(vector.base, radius)
@@ -114,35 +120,43 @@ def exp_map(vector: TangentVector, radius: float) -> HPoint:
         raise ValidationError(
             f"vector {tuple(vector.v)!r} is not tangent at {tuple(base)!r}"
         )
-    norm = _norm(vector.v)
-    if norm == 0.0:
+    if _norm(vector.v) == 0.0:
         return base
-    ch = math.cosh(norm / radius)
-    sh = radius * math.sinh(norm / radius) / norm
-    vx, vy, vz = vector.v
-    return HPoint(ch * base.x + sh * vx, ch * base.y + sh * vy, ch * base.z + sh * vz)
+    a, ex, ey = _polar(base, radius)
+    vx, vy, _ = vector.v
+    de = (vx * ex + vy * ey) / math.cosh(a)
+    dp = vy * ex - vx * ey
+    try:
+        end = _sheet_point(*_step(a, ex, ey, de / radius, dp / radius), radius)
+    except OverflowError:
+        end = None
+    if end is None or not all(map(math.isfinite, end)):
+        raise ValidationError(
+            f"vector {tuple(vector.v)!r} at {tuple(base)!r} reaches no finite sheet point"
+        )
+    return end
 
 
 def log_map(p, q, radius: float) -> TangentVector:
     """Tangent vector at p pointing to q with |log_map(p, q)| = d(p, q).
 
-    The direction is the Minkowski projection of q onto the tangent
-    plane at p; the map is globally defined and inverts exp_map.
+    The log d (along, across) / norm at the pole of geometry._pole_log,
+    boosted back to p (rapidity a, heading e) as
+    d_e (cosh(a) e, sinh a) + d_p (e turned by a right angle, 0).
     """
     radius = check_radius(radius)
     p = check_hpoint(p, radius)
     q = check_hpoint(q, radius)
-    dist = _distance(p, q, radius)
-    if dist == 0.0:
+    a, ex, ey = _polar(p, radius)
+    b, ux, uy = _polar(q, radius)
+    ca, sa = math.cosh(a), math.sinh(a)
+    t, along, across = _pole_log(a, ca, sa, ex, ey, b, math.sinh(b), ux, uy)
+    norm = math.hypot(along, across)
+    if norm == 0.0:
         return TangentVector(base=p, v=(0.0, 0.0, 0.0))
-    coef = minkowski_inner(p, q) / (radius * radius)
-    tx = q.x + coef * p.x
-    ty = q.y + coef * p.y
-    tz = q.z + coef * p.z
-    # The projected chord has Minkowski norm R sinh(d/R) exactly, so the
-    # rescale to arclength never squares the (possibly huge) components.
-    scale = dist / (radius * math.sinh(dist / radius))
-    return TangentVector(base=p, v=(tx * scale, ty * scale, tz * scale))
+    de = radius * t * (along / norm)
+    dp = radius * t * (across / norm)
+    return TangentVector(base=p, v=(de * ca * ex - dp * ey, de * ca * ey + dp * ex, de * sa))
 
 
 def _ratio_coth(t: float) -> float:
@@ -170,20 +184,6 @@ class KarcherResult:
     gradient_norm: float
 
 
-def _polar(p, radius: float) -> tuple[float, float, float]:
-    # Rapidity asinh(r/R) and unit heading of the xy part of a sheet
-    # point; z is implied by them, so its rounding never enters.
-    r = math.hypot(p[0], p[1])
-    if r == 0.0:
-        return 0.0, 1.0, 0.0
-    return math.asinh(r / radius), p[0] / r, p[1] / r
-
-
-def _sheet_point(a: float, ex: float, ey: float, radius: float) -> HPoint:
-    s = radius * math.sinh(a)
-    return HPoint(s * ex, s * ey, radius * math.cosh(a))
-
-
 def _minkowski_start(particles, total: float) -> tuple[float, float, float]:
     """Polar form of the mass-weighted Minkowski mean, rescaled onto the sheet.
 
@@ -209,24 +209,13 @@ def _minkowski_start(particles, total: float) -> tuple[float, float, float]:
 def _derivatives(particles, total: float, a: float, ex: float, ey: float):
     """Objective, gradient, Hessian and smoothness at the iterate (a, ex, ey).
 
-    The boost that sends the iterate to the pole maps particle k to
-    (sinh(b - a) - 2 cosh(a) sinh(b) h, sinh(b) sin(gap), .) in the basis
-    (e, e rotated by a right angle), where h = sin^2(gap/2) and gap is
-    the heading difference; its distance d from the pole has
-    sinh^2(d/2) = sinh^2((b - a)/2) + sinh(a) sinh(b) h.  Every term is
-    a product or a sum of like signs, so nothing cancels between large
-    ambient coordinates.  Mass-weighted means, in units of R.
+    Mass-weighted means over the particles seen from the iterate by
+    geometry._pole_log, in units of R.
     """
     ca, sa = math.cosh(a), math.sinh(a)
     rows = []
     for m, b, sb, ux, uy in particles:
-        # sinh(b) h first: it is exactly 0 on a common diameter, where
-        # sinh(a) sinh(b) alone can overflow.
-        sbh = sb * 0.25 * ((ux - ex) ** 2 + (uy - ey) ** 2)
-        half = math.sinh(0.5 * (b - a))
-        t = 2.0 * math.asinh(math.sqrt(half * half + sa * sbh))
-        along = 2.0 * half * math.sqrt(1.0 + half * half) - 2.0 * ca * sbh
-        across = sb * (ex * uy - ey * ux)
+        t, along, across = _pole_log(a, ca, sa, ex, ey, b, sb, ux, uy)
         norm = math.hypot(along, across)
         if norm == 0.0:
             rows.append((0.0, 0.0, 0.0, m, 0.0, m, m))
@@ -243,20 +232,6 @@ def _derivatives(particles, total: float, a: float, ex: float, ey: float):
             m * f,
         ))
     return [math.fsum(column) / total for column in zip(*rows)]
-
-
-def _step(a: float, ex: float, ey: float, de: float, dp: float):
-    """Iterate reached by the pole tangent vector (de, dp), boosted back."""
-    tau = math.hypot(de, dp)
-    if tau == 0.0:
-        return a, ex, ey
-    st = math.sinh(tau)
-    along = math.cosh(a) * st * (de / tau) + math.sinh(a) * math.cosh(tau)
-    across = st * (dp / tau)
-    r = math.hypot(along, across)
-    if r == 0.0:
-        return 0.0, 1.0, 0.0
-    return math.asinh(r), (along * ex - across * ey) / r, (along * ey + across * ex) / r
 
 
 def karcher_solve(

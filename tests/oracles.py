@@ -288,6 +288,26 @@ def sheet_distance_highprec(p, q, radius):
         return float(r * mp.acosh(max(gap, 1)))
 
 
+def log_map_highprec(p, q, radius):
+    """Log map at p of q for sheet points given by their x and y.
+
+    (d / (R sinh(d/R))) (q - c p) with c = -<p, q>/R^2 and d = R acosh c,
+    in high precision, with z recomputed on the sheet for both points as
+    in sheet_distance_highprec.  Returns the vector as three floats.
+    """
+    with mp.workdps(_sheet_dps([p, q], radius)):
+        r = mp.mpf(radius)
+        p, q = ([mp.mpf(a[0]), mp.mpf(a[1])] for a in (p, q))
+        for a in (p, q):
+            a.append(mp.sqrt(r * r + a[0] * a[0] + a[1] * a[1]))
+        c = (p[2] * q[2] - p[0] * q[0] - p[1] * q[1]) / (r * r)
+        if c <= 1:
+            return (0.0, 0.0, 0.0)
+        d = r * mp.acosh(c)
+        scale = d / (r * mp.sinh(d / r))
+        return tuple(float(scale * (b - c * a)) for a, b in zip(p, q))
+
+
 def com_hyperboloid_reference(masses, points, radius):
     """Sheet center with every check made one particle at a time.
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import sheet_distance_highprec
+from oracles import euclidean_limit_error_highprec, sheet_distance_highprec
 
 
 def run_cli(*args):
@@ -132,6 +132,38 @@ def test_com_line_and_hyperboloid_models(tmp_path):
     assert abs(complex(re, im)) <= 1e-14
 
 
+def test_com_line_report_mean_is_the_one_its_center_comes_from(tmp_path):
+    # The line mean was read from a second, disk center, which can differ
+    # from the center's own mean in the last bit; for this system it did.
+    coords = [
+        -0.14575715637048559, 0.006194641253095946, 0.4611474566258123,
+        0.5343994536418499, -0.5864033070618914, -0.25265769547621336,
+        0.04431806344573089, -0.3114906156236617, 0.6188961962497589,
+        0.5780409751389022, -0.06169897958525442, -0.5064424351940495,
+        -0.04935650589871744,
+    ]
+    masses = [
+        3.0094, 1.6809, 0.6579, 4.6241, 3.1023, 2.3899, 2.5995, 3.8177,
+        1.6072, 3.5837, 1.4664, 4.664, 4.4807,
+    ]
+    radius = 0.671
+
+    def report(rows):
+        path = write_system(tmp_path / "line.json", radius, "line", rows)
+        done = run_cli("com", "--input", str(path))
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)["results"]
+
+    results = report(list(zip(masses, [(u,) for u in coords])))
+    mean, imag = results["log_ratio_mean"]
+    assert imag == 0.0
+    assert radius * math.tanh(0.5 * mean) == results["center_interval"]
+    # A single particle is its own center, and the mean its coordinate.
+    results = report([(2.0, (0.3,))])
+    assert results["center_interval"] == 0.3
+    assert results["log_ratio_mean"] == [math.log((radius + 0.3) / (radius - 0.3)), 0.0]
+
+
 def test_com_matches_library_bit_for_bit(pair_file, tmp_path):
     from hypercom import com_disk
     from hypercom.files import load_system
@@ -227,6 +259,25 @@ def test_limit_sweep_rejects_outside_point(tmp_path):
     done = run_cli("limit-sweep", "--input", str(path), "--sweep", "2,4")
     assert done.returncode == 1
     assert "outside the swept disk" in done.stderr
+
+
+def test_limit_sweep_accepts_far_sheet_input(tmp_path):
+    # The point at 35R projects into the rim band of R = 1, and the
+    # command exited 1 with "not inside the disk".  Only the smallest
+    # swept radius bounds the images now.
+    far = (math.sinh(35.0), 0.0, math.cosh(35.0))
+    path = write_system(
+        tmp_path / "far.json", 1.0, "hyperboloid", [(1.0, (0.0, 0.0, 1.0)), (2.0, far)]
+    )
+    done = run_cli("limit-sweep", "--input", str(path), "--sweep", "1.05,2,4,8")
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)["results"]["rows"]
+    image = far[0] / (1.0 + far[2])
+    for (radius, error), want in zip(rows, (0.220, 0.0347, 0.00793, 0.00194)):
+        assert error == pytest.approx(want, rel=2e-3)
+        assert error == pytest.approx(
+            euclidean_limit_error_highprec([1.0, 2.0], [0.0, image], radius), rel=1e-12
+        )
 
 
 def test_karcher_compare_single_particle(tmp_path):

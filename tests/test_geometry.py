@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypercom import (
     GeodesicSegment,
     HPoint,
-    NumericalError,
     ValidationError,
     arc_between,
     arclength_from_pole,
@@ -34,9 +33,12 @@ from hypercom import (
     unproject,
     unproject_line,
 )
-from hypercom.geometry import _distance_from_gap
 
-from oracles import arclength_quadrature, disk_distance_highprec
+from oracles import (
+    arclength_quadrature,
+    disk_distance_highprec,
+    sheet_distance_highprec,
+)
 
 RADII = (0.5, 1.0, 10.0)
 EPS = 2.0**-52
@@ -347,13 +349,55 @@ def test_distance_accurate_for_nearby_points():
         assert d == pytest.approx(arclength_from_pole(u, 1.0), rel=1e-12)
 
 
-def test_distance_clamp_and_failure_contract():
-    # Within the clamp window the distance collapses to zero; beyond it
-    # the acosh formula has genuinely failed.
-    assert _distance_from_gap(-1e-13, 1.0) == 0.0
-    assert _distance_from_gap(0.0, 1.0) == 0.0
-    with pytest.raises(NumericalError):
-        _distance_from_gap(-1e-9, 1.0)
+def test_sheet_distance_far_out_against_mpmath():
+    # The Minkowski gap of both points cancels here: this read 0.0.
+    p = HPoint(math.sinh(35.0), 0.0, math.cosh(35.0))
+    q = HPoint(math.sinh(23.3), 0.0, math.cosh(23.3))
+    want = sheet_distance_highprec(p, q, 1.0)
+    assert want == pytest.approx(11.7, abs=1e-9)
+    assert abs(hyperboloid_distance(p, q, 1.0) - want) <= 1e-15 * want
+
+
+def _sheet_pairs(seed, count, reach, angle=None):
+    # R log-uniform in [0.5, 4]; points out to `reach` R, at random
+    # headings or all on the ray at `angle`.
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        radius = math.exp(rng.uniform(math.log(0.5), math.log(4.0)))
+        lo = 0.0 if angle is None else 20.0
+        p, q = (
+            polar_hpoint(
+                radius * rng.uniform(lo, reach),
+                rng.uniform(0.0, 2.0 * math.pi) if angle is None else angle,
+                radius,
+            )
+            for _ in range(2)
+        )
+        yield p, q, radius
+
+
+@pytest.mark.parametrize(
+    "reach, angle, rtol, floors",
+    [
+        (5.0, None, 2e-15, math.inf),
+        (40.0, None, 2e-15, math.inf),
+        (40.0, 0.0, 1e-13, math.inf),
+        (40.0, 0.7, math.inf, 1.0),
+        (40.0, 0.5 * math.pi, 1e-12, math.inf),
+    ],
+    ids=["random-5R", "random-40R", "ray-x", "ray-0.7", "ray-y"],
+)
+def test_sheet_distance_against_mpmath(reach, angle, rtol, floors):
+    # From rapidity and heading.  The Minkowski gap read 0.0 on nearly
+    # every same-ray pair and raised NumericalError on most at angle
+    # 0.7; the band form lost all digits on the y axis.  Off the axes a
+    # double fixes a far point only to 2.2e-16 max(z_p, z_q): the floor.
+    count = 300 if angle is None else 200
+    for p, q, radius in _sheet_pairs(41, count, reach, angle):
+        want = sheet_distance_highprec(p, q, radius)
+        err = abs(hyperboloid_distance(p, q, radius) - want)
+        assert err <= rtol * want
+        assert err <= floors * 2.2e-16 * max(p.z, q.z)
 
 
 def test_triangle_inequality():

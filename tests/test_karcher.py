@@ -25,8 +25,9 @@ from hypercom import (
     rotate_disk,
     unproject,
 )
+from hypercom.geometry import check_hpoint
 
-from oracles import karcher_gradient_norm_highprec
+from oracles import karcher_gradient_norm_highprec, log_map_highprec
 
 POLE = HPoint(0.0, 0.0, 1.0)
 
@@ -95,6 +96,44 @@ def test_exp_log_roundtrips():
         v = _tangent_at(p, raw[0], raw[1])
         recovered = log_map(p, exp_map(TangentVector(base=p, v=v), 1.0), 1.0)
         assert max(abs(a - b) for a, b in zip(recovered.v, v)) <= 1e-10
+
+
+def _far_pairs(seed, count=300, reach=40.0):
+    # R log-uniform in [0.5, 4], points out to `reach` R at random headings.
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        radius = math.exp(rng.uniform(math.log(0.5), math.log(4.0)))
+        p, q = (
+            HPoint(
+                radius * math.sinh(s) * math.cos(h),
+                radius * math.sinh(s) * math.sin(h),
+                radius * math.cosh(s),
+            )
+            for s, h in rng.uniform((0.0, 0.0), (reach, 2.0 * math.pi), (2, 2))
+        )
+        yield p, q, radius
+
+
+@pytest.mark.parametrize("reach, rtol", [(5.0, 5e-15), (40.0, 5e-14)])
+def test_log_map_against_mpmath(reach, rtol):
+    # From the pole log pushed back to p; the Minkowski projection of q
+    # lost 2.4e-13 relative out to 40R and raised on some pairs.
+    for p, q, radius in _far_pairs(43, reach=reach):
+        want = log_map_highprec(p, q, radius)
+        got = log_map(p, q, radius).v
+        err = math.sqrt(sum((a - b) ** 2 for a, b in zip(got, want)))
+        assert err <= rtol * math.sqrt(sum(b * b for b in want))
+
+
+def test_exp_map_endpoint_past_the_double_range_is_an_input_error():
+    # cosh(800) overflows: this raised a bare OverflowError ("math range error").
+    with pytest.raises(ValidationError, match="no finite sheet point"):
+        exp_map(TangentVector(base=POLE, v=(800.0, 0.0, 0.0)), 1.0)
+    # exp of log out to 40R: some of these raised OverflowError.  The
+    # backward step of geometry._step cancels far out, so the round trip
+    # is only required to return a sheet point here.
+    for p, q, radius in _far_pairs(44):
+        check_hpoint(exp_map(log_map(p, q, radius), radius), radius)
 
 
 def _tangent_at(p, a, b):
