@@ -19,6 +19,11 @@ so they hold for any representable sheet point, not only for those
 whose projection clears the disk's rim band.  The band |b| < pi/2 has
 its own rim: a mean b that rounds to +-pi/2 names no point.
 
+One kernel, _center, serves the line, the disk and the sheet: it reads
+v from each model's own coordinates, forms the mean once with exact
+sums and maps it back into the same model.  The public centers, the
+rotation sweep, the Eulerian triple and the CLI reports all call it.
+
 Whether the same point satisfies the geodesic lever rule for generic
 (non-diametric) configurations is deliberately not assumed here; the
 closed-form lever_point and the karcher module exist to measure that.
@@ -249,21 +254,7 @@ def com_line(system: MassedSystem) -> float:
     returned unchanged.
     """
     _require_model(system, LINE)
-    masses, total = system.mass_column, system.total_mass
-    return _line_center(masses, total, system.position_column, system.radius)[0]
-
-
-def _line_center(masses, total: float, positions, radius: float) -> tuple[float, float]:
-    """Center of validated line particles, and its mean coordinate.
-
-    The kernel of com_line; ``total`` is the exact sum of ``masses``.  A
-    single particle is its own center.
-    """
-    coords = [math.log((radius + u) / (radius - u)) for u in positions]
-    if len(positions) == 1:
-        return float(positions[0]), coords[0]
-    mean = math.fsum(map(mul, masses, coords)) / total
-    return radius * math.tanh(0.5 * mean), mean
+    return _system_center(system)[1]
 
 
 def com_disk(system: MassedSystem) -> CenterOfMass:
@@ -274,33 +265,8 @@ def com_disk(system: MassedSystem) -> CenterOfMass:
     its own position.
     """
     _require_model(system, DISK)
-    masses, positions = system.mass_column, system.position_column
-    return _center(masses, system.total_mass, positions, float(system.radius))
-
-
-def _center(masses, total: float, positions, radius: float) -> CenterOfMass:
-    """Kernel of com_disk for validated masses, disk points and radius.
-
-    ``total`` is the exact sum of ``masses``.  The arithmetic is that of
-    log_ratio and log_ratio_inv without their checks: every point of a
-    validated system lies inside the disk, and the mean of coordinates
-    in the strip |imag| < pi/2 stays in it.
-    """
-    if len(positions) == 1:
-        w = complex(positions[0])
-        return CenterOfMass(
-            center=w,
-            log_ratio_mean=cmath.log((radius + w) / (radius - w)),
-            total_mass=total,
-        )
-    coords = [cmath.log((radius + w) / (radius - w)) for w in positions]
-    mean = complex(
-        math.fsum(map(mul, masses, [v.real for v in coords])) / total,
-        math.fsum(map(mul, masses, [v.imag for v in coords])) / total,
-    )
-    return CenterOfMass(
-        center=radius * cmath.tanh(0.5 * mean), log_ratio_mean=mean, total_mass=total
-    )
+    mean, center = _system_center(system)
+    return CenterOfMass(center=center, log_ratio_mean=mean, total_mass=system.total_mass)
 
 
 def com_hyperboloid(masses, points, radius: float) -> HPoint:
@@ -320,38 +286,65 @@ def com_hyperboloid(masses, points, radius: float) -> HPoint:
         raise ValidationError(f"{len(masses)} masses for {len(points)} points")
     if not points:
         raise ValidationError("a system needs at least one particle")
-    return _band_center(masses, total, points, radius)[1]
+    return _center(HYPERBOLOID, masses, total, points, radius)[1]
 
 
-def _band_center(masses, total: float, points, radius: float) -> tuple[complex, HPoint]:
-    """Mean band coordinate of validated sheet points, and its sheet point.
+def _system_center(system: MassedSystem):
+    """_center of a system's own columns."""
+    masses, positions = system.mass_column, system.position_column
+    return _center(system.model, masses, system.total_mass, positions, float(system.radius))
 
-    ``total`` is the exact sum of ``masses``.  z is never read, so its
-    rounding far out does not enter.  A single particle is its own
-    center.  A mean that overflows, or whose b rounds to +-pi/2, names
-    no representable point and raises NumericalError.
+
+# A single particle is its own center, as a point of its own model.
+_OWN_POINT = {LINE: float, DISK: complex, HYPERBOLOID: lambda p: HPoint(*map(float, p))}
+
+
+def _center(model: str, masses, total: float, positions, radius: float):
+    """(mean, center) of validated particles of one model; the one center kernel.
+
+    ``total`` is the exact sum of ``masses``.  v is read as a real and
+    an imaginary column: math.log on the line (no imaginary column),
+    cmath.log in the disk, and a, b from the sheet point's x and y (z is
+    never read).  The complex mean maps back into the same model; in the
+    disk this is the arithmetic of log_ratio and log_ratio_inv.  A mean
+    that overflows, or whose imaginary part rounds to +-pi/2, names no
+    representable point: NumericalError.
     """
-    a = [math.asinh(x / math.hypot(radius, y)) for x, y, _ in points]
-    b = [math.atan(y / radius) for _, y, _ in points]
-    if len(points) == 1:
-        x, y, z = points[0]
-        return complex(a[0], b[0]), HPoint(float(x), float(y), float(z))
+    if model == DISK:
+        coords = [cmath.log((radius + w) / (radius - w)) for w in positions]
+        re, im = [v.real for v in coords], [v.imag for v in coords]
+    elif model == LINE:
+        re, im = [math.log((radius + u) / (radius - u)) for u in positions], None
+    else:
+        re = [math.asinh(x / math.hypot(radius, y)) for x, y, _ in positions]
+        im = [math.atan(y / radius) for _, y, _ in positions]
+    if len(positions) == 1:
+        return complex(re[0], 0.0 if im is None else im[0]), _OWN_POINT[model](positions[0])
     try:
-        mean = complex(
-            math.fsum(map(mul, masses, a)) / total,
-            math.fsum(map(mul, masses, b)) / total,
-        )
-        y = radius * math.tan(mean.imag)
-        rho = math.hypot(radius, y)
-        center = HPoint(rho * math.sinh(mean.real), y, rho * math.cosh(mean.real))
+        mean = _mean(masses, total, re, im)
+        if model == DISK:
+            center = radius * cmath.tanh(0.5 * mean)
+        elif model == LINE:
+            center = radius * math.tanh(0.5 * mean.real)
+        else:
+            y = radius * math.tan(mean.imag)
+            rho = math.hypot(radius, y)
+            center = HPoint(rho * math.sinh(mean.real), y, rho * math.cosh(mean.real))
     except (OverflowError, ValueError):
         # fsum over +-inf or past the double range, or sinh and cosh past it.
         center = None
-    if center is None or not (abs(mean.imag) < 0.5 * math.pi and center.z < math.inf):
-        raise NumericalError(
-            "the mean band coordinate names no representable sheet point"
-        )
+    if center is None or not (abs(mean.real) < math.inf and abs(mean.imag) < 0.5 * math.pi) or (
+        model == HYPERBOLOID and center.z == math.inf
+    ):
+        name = "sheet" if model == HYPERBOLOID else model
+        raise NumericalError(f"the mean coordinate names no representable {name} point")
     return mean, center
+
+
+def _mean(masses, total: float, re, im=None) -> complex:
+    """Mass-weighted mean of a real and an imaginary column, summed exactly."""
+    mean = math.fsum(map(mul, masses, re)) / total
+    return complex(mean, 0.0 if im is None else math.fsum(map(mul, masses, im)) / total)
 
 
 def com_euclidean(masses, positions) -> complex:
@@ -366,10 +359,7 @@ def com_euclidean(masses, positions) -> complex:
         raise ValidationError("a system needs at least one particle")
     if len(positions) == 1:
         return positions[0]
-    return complex(
-        math.fsum(m * p.real for m, p in zip(masses, positions)) / total,
-        math.fsum(m * p.imag for m, p in zip(masses, positions)) / total,
-    )
+    return _mean(masses, total, [p.real for p in positions], [p.imag for p in positions])
 
 
 def euclidean_limit_error(masses, positions, radius: float) -> float:

@@ -27,12 +27,9 @@ import sys
 from .barycenter import (
     HYPERBOLOID,
     LINE,
-    _band_center,
-    _line_center,
-    com_disk,
+    _system_center,
     disk_system,
     euclidean_limit_error,
-    to_disk_system,
     to_hyperboloid_system,
 )
 from .equilibria import (
@@ -114,30 +111,19 @@ def _pair(value: complex) -> list[float]:
 def _cmd_com(args) -> int:
     system = load_system(args.input)
     radius = system.radius
-    results = {"total_mass": system.total_mass}
+    mean, center = _system_center(system)
+    results = {"total_mass": system.total_mass, "log_ratio_mean": _pair(mean)}
     if system.model == HYPERBOLOID:
         # Far centers keep their place in log_ratio_mean and
         # center_hyperboloid; center_disk rounds into the rim band.
-        mean, lift = _band_center(
-            system.mass_column, system.total_mass, system.position_column, radius
-        )
-        results["log_ratio_mean"] = _pair(mean)
         results["center_disk"] = _pair(radius * cmath.tanh(0.5 * mean))
-        results["center_hyperboloid"] = list(lift)
+        results["center_hyperboloid"] = list(center)
     elif system.model == LINE:
-        center, mean = _line_center(
-            system.mass_column, system.total_mass, system.position_column, radius
-        )
-        lift = unproject_line(center, radius)
-        results["log_ratio_mean"] = [mean, 0.0]
         results["center_interval"] = center
-        results["center_hyperbola"] = [lift.x, lift.y]
+        results["center_hyperbola"] = list(unproject_line(center, radius))
     else:
-        com = com_disk(system)
-        lift = unproject(com.center, radius)
-        results["log_ratio_mean"] = _pair(com.log_ratio_mean)
-        results["center_disk"] = _pair(com.center)
-        results["center_hyperboloid"] = [lift.x, lift.y, lift.z]
+        results["center_disk"] = _pair(center)
+        results["center_hyperboloid"] = list(unproject(center, radius))
     report = {
         "command": "com",
         "input_sha256": file_digest(args.input),
@@ -237,7 +223,7 @@ def _cmd_limit_sweep(args) -> int:
         return EXIT_OK
     errors = [err for _, err in rows]
     ratios = [
-        errors[k] / errors[k + 1] if errors[k + 1] != 0.0 else math.inf
+        errors[k] / errors[k + 1] if errors[k + 1] != 0.0 else None
         for k in range(len(errors) - 1)
     ]
     report = {
@@ -264,17 +250,16 @@ def _cmd_karcher_compare(args) -> int:
     mean_point = karcher_mean(to_hyperboloid_system(system), settings)
     mean_disk = project(mean_point, radius)
     masses = system.mass_column
+    mean, center = _system_center(system)
     if system.model == HYPERBOLOID:
-        # The band center and sheet distances: far points never enter the disk.
+        # Sheet distances: far points never enter the disk.
         points = system.position_column
-        mean, center = _band_center(masses, system.total_mass, points, radius)
         center_disk = radius * cmath.tanh(0.5 * mean)
         probes = (center, mean_point)
         distance = _sheet_distance
     else:
-        disk = to_disk_system(system)
-        points = disk.position_column
-        center_disk = com_disk(disk).center
+        points = list(map(complex, system.position_column))
+        center_disk = complex(center)
         probes = (center_disk, mean_disk)
         distance = disk_distance
     results = {

@@ -24,10 +24,11 @@ import math
 from dataclasses import dataclass
 
 from .barycenter import (
+    DISK,
     CenterOfMass,
     MassedSystem,
     _center,
-    _line_center,
+    _system_center,
     check_mass,
     com_disk,
     disk_system,
@@ -197,14 +198,15 @@ def rotation_sweep(system: MassedSystem, angles=None) -> RotationSweep:
     if angles is None:
         angles = [2.0 * math.pi * k / SWEEP_ANGLES for k in range(SWEEP_ANGLES)]
     base = com_disk(system)
-    masses = system.mass_column
+    masses, total = system.mass_column, base.total_mass
     positions = system.position_column
     radius = float(system.radius)
     samples = []
     for angle in angles:
         rot = cmath.exp(1j * angle)
-        com = _center(masses, base.total_mass, [w * rot for w in positions], radius)
-        defect = abs(com.center - base.center * rot)
+        mean, center = _center(DISK, masses, total, [w * rot for w in positions], radius)
+        defect = abs(center - base.center * rot)
+        com = CenterOfMass(center=center, log_ratio_mean=mean, total_mass=total)
         samples.append(RotationSample(angle=angle, com=com, defect=defect))
     if not samples:
         raise ValidationError("a rotation sweep needs at least one angle")
@@ -266,8 +268,7 @@ def eulerian_triple(masses, positions, radius) -> tuple[TripleConfig, CenterOfMa
     if len(masses) != 3 or len(positions) != 3:
         raise ValidationError("a triple needs exactly three masses and positions")
     system = line_system(masses, positions, radius)
-    total = system.total_mass
-    center, mean = _line_center(system.mass_column, total, positions, radius)
+    mean, center = _system_center(system)
     config = TripleConfig(
         kind=EULERIAN,
         masses=masses,
@@ -275,7 +276,7 @@ def eulerian_triple(masses, positions, radius) -> tuple[TripleConfig, CenterOfMa
         radius=float(radius),
     )
     return config, CenterOfMass(
-        center=complex(center), log_ratio_mean=complex(mean), total_mass=total
+        center=complex(center), log_ratio_mean=mean, total_mass=system.total_mass
     )
 
 

@@ -33,7 +33,7 @@ from .barycenter import (
     hyperboloid_system,
     line_system,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 COORD_ARITY = {LINE: 1, DISK: 2, HYPERBOLOID: 3}
 TOP_LEVEL_KEYS = {"radius", "model", "particles"}
@@ -43,14 +43,18 @@ PARTICLE_KEYS = {"mass", "coords"}
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{where} is outside the double range") from None
 
 
 def read_system_text(text: str) -> MassedSystem:
     """Parse and validate a system document from its JSON text."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past the digit limit of int().
         raise ValidationError(f"system file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError("system file must be a JSON object")
@@ -118,8 +122,11 @@ def format_float(value: float) -> str:
 
 
 def report_text(report: dict) -> str:
-    """Deterministic JSON serialization for report documents."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON for report documents; NaN or infinity has no JSON form."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"the report holds a value JSON cannot carry: {exc}") from None
 
 
 def csv_text(header: str, rows) -> str:

@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 # On-surface validation at construction; relative to the point's scale.
 TOL_CONSTRUCT = 1e-9
@@ -238,7 +238,9 @@ def hyperboloid_distance(p, q, radius: float) -> float:
 
     Mathematically R acosh(-<p, q> / R^2); read from the rapidities and
     headings of the points by _pole_log, so no difference of ambient
-    coordinates of size z enters, however far out the points lie.
+    coordinates of size z enters, however far out the points lie.  The
+    kernel forms sinh^2(d / 2R), which passes the double range for
+    distances beyond about 710 R: NumericalError there.
     """
     radius = check_radius(radius)
     return _sheet_distance(check_hpoint(p, radius), check_hpoint(q, radius), radius)
@@ -249,6 +251,8 @@ def _sheet_distance(p, q, radius: float) -> float:
     a, ex, ey = _polar(p, radius)
     b, ux, uy = _polar(q, radius)
     t, _, _ = _pole_log(a, math.cosh(a), math.sinh(a), ex, ey, b, math.sinh(b), ux, uy)
+    if not t < math.inf:
+        raise NumericalError("the sheet distance of these points passes the double range")
     return radius * t
 
 

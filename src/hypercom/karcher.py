@@ -142,7 +142,9 @@ def log_map(p, q, radius: float) -> TangentVector:
 
     The log d (along, across) / norm at the pole of geometry._pole_log,
     boosted back to p (rapidity a, heading e) as
-    d_e (cosh(a) e, sinh a) + d_p (e turned by a right angle, 0).
+    d_e (cosh(a) e, sinh a) + d_p (e turned by a right angle, 0).  Where
+    the kernel's terms pass the double range (distances beyond about
+    710 R, or r/R near 1e308) it raises NumericalError.
     """
     radius = check_radius(radius)
     p = check_hpoint(p, radius)
@@ -152,6 +154,8 @@ def log_map(p, q, radius: float) -> TangentVector:
     ca, sa = math.cosh(a), math.sinh(a)
     t, along, across = _pole_log(a, ca, sa, ex, ey, b, math.sinh(b), ux, uy)
     norm = math.hypot(along, across)
+    if not (t < math.inf and norm < math.inf):
+        raise NumericalError("the log map of these sheet points passes the double range")
     if norm == 0.0:
         return TangentVector(base=p, v=(0.0, 0.0, 0.0))
     de = radius * t * (along / norm)

@@ -329,6 +329,18 @@ def test_com_hyperboloid_center_on_the_band_rim_is_a_numerical_error():
         com_hyperboloid([1.0, 3.0], points, 1.0)
 
 
+@pytest.mark.parametrize("model", ["line", "disk"])
+def test_center_whose_weighted_coordinates_overflow_is_a_numerical_error(model):
+    # m v passes the double range at these masses although the total
+    # does not: the exact sum raised ValueError ("-inf + inf in fsum"),
+    # and with one sign it read inf and put the center on the rim.
+    build, center = {"line": (line_system, com_line), "disk": (disk_system, com_disk)}[model]
+    for positions in ([0.9, -0.9], [0.9, 0.0]):
+        system = build([8e307, 8e307], positions, 1.0)
+        with pytest.raises(NumericalError, match=f"no representable {model} point"):
+            center(system)
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -280,6 +280,30 @@ def test_limit_sweep_accepts_far_sheet_input(tmp_path):
         )
 
 
+def test_limit_sweep_ratio_over_a_zero_error_is_null(tmp_path):
+    # A single particle is its own flat and curved center, so every error
+    # is 0; the ratios were printed as Infinity, which is not JSON.
+    path = write_system(tmp_path / "one.json", 1.0, "disk", [(1.0, (0.3, 0.2))])
+    done = run_cli("limit-sweep", "--input", str(path), "--sweep", "1,2,4")
+    assert done.returncode == 0, done.stderr
+
+    def reject(token):
+        raise AssertionError(f"{token} in the report")
+
+    results = json.loads(done.stdout, parse_constant=reject)["results"]
+    assert results["ratios"] == [None, None]
+    assert [error for _, error in results["rows"]] == [0.0, 0.0, 0.0]
+
+
+def test_report_with_a_non_finite_value_is_a_numerical_failure():
+    from hypercom import NumericalError
+    from hypercom.files import report_text
+
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NumericalError, match="JSON"):
+            report_text({"results": {"value": value}})
+
+
 def test_karcher_compare_single_particle(tmp_path):
     path = write_system(tmp_path / "one.json", 1.0, "disk", [(1.0, (0.3, 0.3))])
     done = run_cli("karcher-compare", "--input", str(path))
@@ -316,6 +340,22 @@ def test_karcher_compare_generic_triple_reproducible(tmp_path):
     assert first.stdout == second.stdout
     report = json.loads(first.stdout)
     assert report["results"]["separation"] > 0.0
+
+
+def test_karcher_compare_line_center_is_the_com_center(tmp_path):
+    # karcher-compare took the line center from a disk system (cmath.log)
+    # and com from the line (math.log); for this pair they differed in
+    # the last bits: 0.00474934196794994 against 0.004749341967949956.
+    path = write_system(
+        tmp_path / "line.json", 1.0, "line", [(0.37, (0.535,)), (1.37, (-0.154,))]
+    )
+    reports = []
+    for command in ("com", "karcher-compare"):
+        done = run_cli(command, "--input", str(path))
+        assert done.returncode == 0, done.stderr
+        reports.append(json.loads(done.stdout)["results"])
+    com, compare = reports
+    assert compare["center_disk"] == [com["center_interval"], 0.0]
 
 
 def test_reports_are_byte_identical_across_runs(pair_file, tmp_path):
@@ -410,6 +450,25 @@ def test_exit_code_forced_nonconvergence(tmp_path):
     done = run_cli("karcher-compare", "--input", str(path), "--tol", "1e-300")
     assert done.returncode == 2
     assert "numerical failure" in done.stderr
+
+
+@pytest.mark.parametrize("field", ["radius", "mass", "coordinate"])
+@pytest.mark.parametrize("digits", [401, 5000])
+def test_oversized_integer_in_a_system_file_is_an_input_error(tmp_path, field, digits):
+    # Past the double range float() raised OverflowError, and past the
+    # 4300 digits int() reads json.loads raised ValueError: tracebacks.
+    big = "1" + "0" * (digits - 1)
+    values = {"radius": "1.0", "mass": "1.0", "coordinate": "0.1"}
+    values[field] = big
+    path = tmp_path / "big.json"
+    path.write_text(
+        f'{{"radius": {values["radius"]}, "model": "line", "particles": '
+        f'[{{"mass": {values["mass"]}, "coords": [{values["coordinate"]}]}}]}}'
+    )
+    for command in ("com", "karcher-compare"):
+        done = run_cli(command, "--input", str(path))
+        _one_line_failure(done, 1)
+        assert "hypercom: error:" in done.stderr
 
 
 def test_exit_code_usage_errors():

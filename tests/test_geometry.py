@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypercom import (
     GeodesicSegment,
     HPoint,
+    NumericalError,
     ValidationError,
     arc_between,
     arclength_from_pole,
@@ -23,6 +24,7 @@ from hypercom import (
     hyperboloid_system,
     lever_point,
     line_system,
+    log_map,
     log_ratio,
     lpoint,
     minkowski_inner,
@@ -356,6 +358,22 @@ def test_sheet_distance_far_out_against_mpmath():
     want = sheet_distance_highprec(p, q, 1.0)
     assert want == pytest.approx(11.7, abs=1e-9)
     assert abs(hyperboloid_distance(p, q, 1.0) - want) <= 1e-15 * want
+
+
+def test_sheet_distance_past_the_double_range_is_a_numerical_error():
+    # sinh^2(d / 2R) passes the double range beyond about 710 R: the
+    # distance of this pair read inf and its log map (nan, nan, nan).
+    radius = 1e-100
+    p = (1.7e208, 0.0, 1.7e208)
+    q = (1.6e208, 1e207, 1.6031219541881398e208)
+    assert sheet_distance_highprec(p, q, radius) == pytest.approx(1413.85 * radius, rel=1e-5)
+    with pytest.raises(NumericalError, match="double range"):
+        hyperboloid_distance(p, q, radius)
+    with pytest.raises(NumericalError, match="double range"):
+        log_map(p, q, radius)
+    # 700 R across the pole is still inside the domain.
+    p, q = ((0.0, sign * math.sinh(350.0), math.cosh(350.0)) for sign in (-1.0, 1.0))
+    assert hyperboloid_distance(p, q, 1.0) == pytest.approx(700.0, rel=1e-15)
 
 
 def _sheet_pairs(seed, count, reach, angle=None):
