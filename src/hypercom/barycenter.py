@@ -400,9 +400,8 @@ def to_hyperboloid_system(system: MassedSystem) -> MassedSystem:
     """Lift a system onto the sheet (identity for hyperboloid input)."""
     if system.model == HYPERBOLOID:
         return system
-    disk = to_disk_system(system)
-    points = [_unproject(w, disk.radius) for w in disk.position_column]
-    return hyperboloid_system(disk.mass_column, points, disk.radius)
+    points = [_unproject(complex(w), system.radius) for w in system.position_column]
+    return hyperboloid_system(system.mass_column, points, system.radius)
 
 
 def lever_point(m1, p1, m2, p2, radius: float) -> complex:

@@ -13,7 +13,8 @@ Subcommands:
     unproject        disk point to hyperboloid coordinates
 
 Exit codes: 0 success, 1 invalid input, 2 numerical failure.  Output is
-deterministic: identical inputs give byte-identical reports.
+deterministic: identical inputs give byte-identical reports.  Inputs are
+checked once, by the parser and by files.load_system (one read per file).
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ import re
 import sys
 
 from .barycenter import (
+    DISK,
     HYPERBOLOID,
     LINE,
+    _center,
     _system_center,
+    com_euclidean,
     disk_system,
-    euclidean_limit_error,
     to_hyperboloid_system,
 )
 from .equilibria import (
@@ -39,23 +42,19 @@ from .equilibria import (
     rotation_sweep,
 )
 from .errors import NumericalError, ValidationError
-from .files import (
-    csv_text,
-    file_digest,
-    format_float,
-    load_system,
-    report_text,
-)
+from .files import csv_text, format_float, load_system, report_text
 from .geometry import (
     BOUNDARY_MARGIN,
     TOL_CONSTRUCT,
+    _disk_distance,
+    _line_coordinate,
+    _project,
     _sheet_distance,
-    arclength_from_pole,
+    _unproject,
+    check_radius,
     disk_distance,
-    hpoint,
     project,
     unproject,
-    unproject_line,
 )
 from .karcher import KarcherSettings, karcher_mean
 
@@ -86,7 +85,7 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(output, "w") as handle:
+        with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
         raise ValidationError(
@@ -109,7 +108,7 @@ def _pair(value: complex) -> list[float]:
 
 
 def _cmd_com(args) -> int:
-    system = load_system(args.input)
+    system, digest = load_system(args.input)
     radius = system.radius
     mean, center = _system_center(system)
     results = {"total_mass": system.total_mass, "log_ratio_mean": _pair(mean)}
@@ -120,13 +119,14 @@ def _cmd_com(args) -> int:
         results["center_hyperboloid"] = list(center)
     elif system.model == LINE:
         results["center_interval"] = center
-        results["center_hyperbola"] = list(unproject_line(center, radius))
+        x, _, y = _unproject(complex(center), radius)
+        results["center_hyperbola"] = [x, y]
     else:
         results["center_disk"] = _pair(center)
-        results["center_hyperboloid"] = list(unproject(center, radius))
+        results["center_hyperboloid"] = list(_unproject(center, radius))
     report = {
         "command": "com",
-        "input_sha256": file_digest(args.input),
+        "input_sha256": digest,
         "model": system.model,
         "radius": system.radius,
         "results": results,
@@ -155,8 +155,8 @@ def _cmd_equilibrium(args) -> int:
     if args.format == "csv":
         _emit(csv_text(CSV_HEADER_SWEEP, rows), args.output)
         return EXIT_OK
-    s1 = args.m1 * arclength_from_pole(args.alpha, radius)
-    s2 = args.m2 * arclength_from_pole(verdict.partner_radius, radius)
+    s1 = args.m1 * (radius * _line_coordinate(args.alpha, radius))
+    s2 = args.m2 * (radius * _line_coordinate(verdict.partner_radius, radius))
     residual = s1 - s2
     report = {
         "command": "equilibrium",
@@ -202,22 +202,26 @@ def _parse_sweep(text: str) -> list[float]:
 
 
 def _cmd_limit_sweep(args) -> int:
-    system = load_system(args.input)
+    system, digest = load_system(args.input)
     radii = _parse_sweep(args.sweep)
-    masses = system.mass_column
+    masses, radius, points = system.mass_column, system.radius, system.position_column
     if system.model == HYPERBOLOID:
-        # project makes a point with no representable disk image an input
-        # error; to_disk_system would hold the image to the rim band of R.
-        positions = [project(p, system.radius) for p in system.position_column]
+        # Held to the smallest swept radius below, not to the rim band of R.
+        positions = [_project(p, radius) for p in points]
     else:
-        positions = list(map(complex, system.position_column))
+        positions = list(map(complex, points))
     smallest = min(radii)
-    for w in positions:
+    for p, w in zip(points, positions):
         if abs(w) >= smallest * (1.0 - BOUNDARY_MARGIN):
             raise ValidationError(
-                f"point {w!r} falls outside the swept disk of radius {smallest!r}"
+                f"point {tuple(p)!r} has no representable disk image for radius {radius!r}"
+                if cmath.isinf(w)
+                else f"point {w!r} falls outside the swept disk of radius {smallest!r}"
             )
-    rows = [(r, euclidean_limit_error(masses, positions, r)) for r in radii]
+    total = system.total_mass
+    centers = [_center(DISK, masses, total, positions, check_radius(r))[1] for r in radii]
+    flat = com_euclidean(masses, positions)
+    rows = [(r, abs(center - flat)) for r, center in zip(radii, centers)]
     if args.format == "csv":
         _emit(csv_text(CSV_HEADER_LIMIT, rows), args.output)
         return EXIT_OK
@@ -228,7 +232,7 @@ def _cmd_limit_sweep(args) -> int:
     ]
     report = {
         "command": "limit-sweep",
-        "input_sha256": file_digest(args.input),
+        "input_sha256": digest,
         "results": {
             "ratios": ratios,
             "rows": [list(row) for row in rows],
@@ -244,39 +248,40 @@ def _cmd_limit_sweep(args) -> int:
 
 
 def _cmd_karcher_compare(args) -> int:
-    system = load_system(args.input)
+    system, digest = load_system(args.input)
     radius = system.radius
     settings = KarcherSettings(tol=args.tol)
     mean_point = karcher_mean(to_hyperboloid_system(system), settings)
-    mean_disk = project(mean_point, radius)
-    masses = system.mass_column
+    mean_disk = _project(mean_point, radius)
+    if cmath.isinf(mean_disk):
+        raise NumericalError(
+            f"the barycenter {tuple(mean_point)!r} has no representable disk image"
+        )
     mean, center = _system_center(system)
     if system.model == HYPERBOLOID:
         # Sheet distances: far points never enter the disk.
-        points = system.position_column
         center_disk = radius * cmath.tanh(0.5 * mean)
         probes = (center, mean_point)
         distance = _sheet_distance
     else:
-        points = list(map(complex, system.position_column))
         center_disk = complex(center)
         probes = (center_disk, mean_disk)
-        distance = disk_distance
+        distance = _disk_distance
     results = {
         "center_disk": _pair(center_disk),
         "karcher_disk": _pair(mean_disk),
         "karcher_hyperboloid": [mean_point.x, mean_point.y, mean_point.z],
         "separation": distance(*probes, radius),
     }
-    if len(points) == 2:
-        (ma, mb), (pa, pb) = masses, points
+    if len(system.position_column) == 2:
+        (ma, mb), (pa, pb) = system.mass_column, system.position_column
         for key, probe in zip(("lever_residual_com", "lever_residual_karcher"), probes):
             results[key] = ma * distance(pa, probe, radius) - mb * distance(
                 pb, probe, radius
             )
     report = {
         "command": "karcher-compare",
-        "input_sha256": file_digest(args.input),
+        "input_sha256": digest,
         "model": system.model,
         "radius": radius,
         "results": results,
@@ -298,8 +303,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    point = hpoint(args.coords[0], args.coords[1], args.coords[2], args.radius)
-    w = project(point, args.radius)
+    w = project(args.coords, args.radius)
     sys.stdout.write(f"{format_float(w.real)} {format_float(w.imag)}\n")
     return EXIT_OK
 

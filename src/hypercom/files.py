@@ -12,9 +12,10 @@ A system file is one JSON document:
     }
 
 ``coords`` holds 1 number for "line", 2 ([re, im]) for "disk" and
-3 ([x, y, z]) for "hyperboloid".  Reports are JSON with sorted keys and
-fixed indentation; CSV traces use fixed headers.  Identical inputs
-therefore produce byte-identical output.
+3 ([x, y, z]) for "hyperboloid".  load_system reads a file once, as
+UTF-8, and returns the sha256 of the bytes it parsed with the system.
+Reports are JSON with sorted keys and fixed indentation; CSV traces use
+fixed headers.  Identical inputs therefore produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -99,18 +100,14 @@ def read_system_text(text: str) -> MassedSystem:
     return hyperboloid_system(masses, coords, radius)
 
 
-def load_system(path) -> MassedSystem:
-    """Read and validate a system file from disk."""
+def load_system(path) -> tuple[MassedSystem, str]:
+    """Read a system file once, as UTF-8: the validated system and its sha256."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read system file {path!r}: {exc}") from exc
-    return read_system_text(text)
-
-
-def file_digest(path) -> str:
-    """sha256 of the raw input bytes, echoed into reports."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return read_system_text(text), hashlib.sha256(data).hexdigest()
 
 
 def format_float(value: float) -> str:

@@ -1,6 +1,7 @@
 """Black-box CLI tests: wire formats, exit codes, determinism."""
 
 import cmath
+import hashlib
 import json
 import math
 import re
@@ -172,7 +173,7 @@ def test_com_matches_library_bit_for_bit(pair_file, tmp_path):
     done = run_cli("com", "--input", str(pair_file), "--output", str(out))
     assert done.returncode == 0
     report = json.loads(out.read_text())
-    com = com_disk(load_system(pair_file))
+    com = com_disk(load_system(pair_file)[0])
     assert report["results"]["center_disk"] == [com.center.real, com.center.imag]
     assert report["results"]["total_mass"] == com.total_mass
 
@@ -705,6 +706,90 @@ def test_negative_exponent_coordinates_are_positionals():
     assert done.stdout == marked.stdout
     done = run_cli("project", "-1E0", "0", "1.4142135623730951", "--radius", "1")
     assert done.returncode == 0, done.stderr
+
+
+def test_piped_input_reports_the_digest_of_the_piped_bytes(pair_file):
+    # The file was read twice, and the second read of a pipe found it
+    # empty: input_sha256 was the digest of zero bytes, e3b0c442...b855.
+    data = pair_file.read_bytes()
+    for argv in (
+        ["com"],
+        ["limit-sweep", "--sweep", "10,20"],
+        ["karcher-compare"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "hypercom", *argv, "--input", "/dev/stdin"],
+            input=data,
+            capture_output=True,
+        )
+        assert done.returncode == 0, done.stderr
+        digest = json.loads(done.stdout)["input_sha256"]
+        assert digest == hashlib.sha256(data).hexdigest(), argv
+
+
+def test_com_near_rim_center_is_reported(tmp_path):
+    # Both particles at one point just inside the rim band; the center
+    # came out 1 ulp outside the band and com exited 1, blaming its own
+    # center as "not inside the disk".
+    w = complex(0.28209668578293506, 0.9593859806502719)
+    path = write_system(
+        tmp_path / "rim.json", 1.0, "disk",
+        [(3.613456841520722, (w.real, w.imag)), (9.659776469147234, (w.real, w.imag))],
+    )
+    done = run_cli("com", "--input", str(path))
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    re_c, im_c = results["center_disk"]
+    assert abs(re_c - w.real) <= math.ulp(w.real)
+    assert abs(im_c - w.imag) <= math.ulp(w.imag)
+    assert all(map(math.isfinite, results["center_hyperboloid"]))
+
+
+def test_karcher_compare_barycenter_without_a_disk_image_is_a_numerical_failure(tmp_path):
+    # At R = 1e100 the barycenter of mass 1 at the pole and mass 2 at
+    # 480R lies 320R out, where R x overflows; com takes this input, and
+    # karcher-compare exited 1, blaming the barycenter as an input point.
+    radius = 1e100
+    far = (radius * math.sinh(480.0), 0.0, radius * math.cosh(480.0))
+    path = write_system(
+        tmp_path / "far.json", radius, "hyperboloid",
+        [(1.0, (0.0, 0.0, radius)), (2.0, far)],
+    )
+    assert run_cli("com", "--input", str(path)).returncode == 0
+    done = run_cli("karcher-compare", "--input", str(path))
+    _one_line_failure(done, 2)
+    assert "numerical failure" in done.stderr
+    assert "barycenter" in done.stderr
+
+
+def test_non_utf8_system_file_is_an_input_error(tmp_path):
+    # read_text() raised UnicodeDecodeError, which ended in a traceback.
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff")
+    for argv in (["com"], ["limit-sweep", "--sweep", "2"], ["karcher-compare"]):
+        done = run_cli(*argv, "--input", str(path))
+        _one_line_failure(done, 1)
+        assert "cannot read system file" in done.stderr
+
+
+def test_file_subcommands_use_no_default_encoding(pair_file, tmp_path):
+    # The input was read and --output written in the locale's encoding.
+    out = tmp_path / "out.txt"
+    for argv in (
+        ["com", "--input", str(pair_file)],
+        ["limit-sweep", "--input", str(pair_file), "--sweep", "10,20"],
+        ["karcher-compare", "--input", str(pair_file)],
+        ["equilibrium", "--m1", "1", "--m2", "2", "--alpha", "0.5", "--radius", "1"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "hypercom", *argv, "--output", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert json.loads(out.read_text(encoding="utf-8"))["command"] == argv[0]
 
 
 def _readme_examples():
