@@ -1,12 +1,13 @@
 """Center of mass for systems of massed particles on the curved models.
 
-In the coordinate v = log((R + w) / (R - w)) the center of a system is
-the plain mass-weighted average of the particle coordinates; mapping
-the average back through w = R tanh(v / 2) gives the center point in
-the disk.  On the real diameter v is the arclength from the pole
-divided by R, so for two real particles this is exactly the balance
-point of the lever rule m1 s1 = m2 s2.  As R grows the construction
-degenerates to the flat weighted mean.
+In the coordinate v = log((R + w) / (R - w)) = 2 atanh(w / R) the
+center of a system is the plain mass-weighted average of the particle
+coordinates; mapping the average back through w = R tanh(v / 2) gives
+the center point in the disk.  On the real diameter v is the arclength
+from the pole divided by R, so for two real particles this is exactly
+the balance point of the lever rule m1 s1 = m2 s2.  As R grows the
+construction degenerates to the flat weighted mean, in doubles too:
+the atanh form keeps the digits of w that the ratio loses for |w| << R.
 
 On the hyperboloid sheet the same coordinate v = a + ib has a closed
 form in the point's own x and y, with rho = hypot(R, y):
@@ -46,6 +47,9 @@ from .geometry import (
     check_radius,
     disk_distance,
     geodesic_between,
+    _disk_halves,
+    _disk_point,
+    _line_halves,
     _on_sheet_column,
     _project,
     _unproject,
@@ -216,16 +220,14 @@ class CenterOfMass:
 
 
 def log_ratio(w, radius: float) -> complex:
-    """Averaging coordinate log((R + w) / (R - w)), principal branch.
+    """Averaging coordinate log((R + w) / (R - w)) = 2 atanh(w / R).
 
-    (R + w) / (R - w) has real part (R^2 - |w|^2) / |R - w|^2 > 0
-    whenever |w| < R, so the principal logarithm is analytic on the
-    whole disk and never crosses its cut; the imaginary part stays in
-    (-pi/2, pi/2).  Odd in w and commutes with conjugation.
+    Principal branch, imaginary part in (-pi/2, pi/2); odd in w and
+    commutes with conjugation.  One particle's mean, from _center.
     """
     radius = check_radius(radius)
     w = check_disk_point(w, radius)
-    return cmath.log((radius + w) / (radius - w))
+    return _center(DISK, (1.0,), 1.0, (w,), radius)[0]
 
 
 def log_ratio_inv(v, radius: float) -> complex:
@@ -236,7 +238,7 @@ def log_ratio_inv(v, radius: float) -> complex:
         raise ValidationError(
             f"coordinate {v!r} is outside the strip |imag| < pi/2"
         )
-    return radius * cmath.tanh(0.5 * v)
+    return _disk_point(0.5 * v, radius)
 
 
 def _require_model(system: MassedSystem, model: str) -> None:
@@ -302,49 +304,60 @@ _OWN_POINT = {LINE: float, DISK: complex, HYPERBOLOID: lambda p: HPoint(*map(flo
 def _center(model: str, masses, total: float, positions, radius: float):
     """(mean, center) of validated particles of one model; the one center kernel.
 
-    ``total`` is the exact sum of ``masses``.  v is read as a real and
-    an imaginary column: math.log on the line (no imaginary column),
-    cmath.log in the disk, and a, b from the sheet point's x and y (z is
-    never read).  The complex mean maps back into the same model; in the
-    disk this is the arithmetic of log_ratio and log_ratio_inv.  A mean
-    that overflows, or whose imaginary part rounds to +-pi/2, names no
-    representable point: NumericalError.
+    ``total`` is the exact sum of ``masses``.  The line (no imaginary
+    column) and the disk read and map back h = v / 2 by the geometry
+    kernels and double the mean into v, exactly; the sheet reads
+    v = a + ib from x and y (z is never read).  A sheet mean whose b
+    rounds to +-pi/2, or whose point overflows, is a NumericalError.
     """
     if model == DISK:
-        coords = [cmath.log((radius + w) / (radius - w)) for w in positions]
-        re, im = [v.real for v in coords], [v.imag for v in coords]
+        halves = _disk_halves(positions, radius)
+        re, im = [h.real for h in halves], [h.imag for h in halves]
     elif model == LINE:
-        re, im = [math.log((radius + u) / (radius - u)) for u in positions], None
+        re, im = _line_halves(positions, radius), None
     else:
         re = [math.asinh(x / math.hypot(radius, y)) for x, y, _ in positions]
         im = [math.atan(y / radius) for _, y, _ in positions]
     if len(positions) == 1:
-        return complex(re[0], 0.0 if im is None else im[0]), _OWN_POINT[model](positions[0])
-    try:
+        mean, center = complex(re[0], 0.0 if im is None else im[0]), _OWN_POINT[model](positions[0])
+    elif model == HYPERBOLOID:
         mean = _mean(masses, total, re, im)
-        if model == DISK:
-            center = radius * cmath.tanh(0.5 * mean)
-        elif model == LINE:
-            center = radius * math.tanh(0.5 * mean.real)
-        else:
+        try:
             y = radius * math.tan(mean.imag)
             rho = math.hypot(radius, y)
             center = HPoint(rho * math.sinh(mean.real), y, rho * math.cosh(mean.real))
-    except (OverflowError, ValueError):
-        # fsum over +-inf or past the double range, or sinh and cosh past it.
-        center = None
-    if center is None or not (abs(mean.real) < math.inf and abs(mean.imag) < 0.5 * math.pi) or (
-        model == HYPERBOLOID and center.z == math.inf
-    ):
-        name = "sheet" if model == HYPERBOLOID else model
-        raise NumericalError(f"the mean coordinate names no representable {name} point")
+        except OverflowError:
+            center = None
+        if center is None or not abs(mean.imag) < 0.5 * math.pi or center.z == math.inf:
+            raise NumericalError("the mean coordinate names no representable sheet point")
+    else:
+        mean = _mean(masses, total, re, im)
+        center = _disk_point(mean, radius)
+        center = center.real if model == LINE else center
+    if model != HYPERBOLOID:
+        mean = complex(2.0 * mean.real, 2.0 * mean.imag)
     return mean, center
 
 
 def _mean(masses, total: float, re, im=None) -> complex:
-    """Mass-weighted mean of a real and an imaginary column, summed exactly."""
-    mean = math.fsum(map(mul, masses, re)) / total
-    return complex(mean, 0.0 if im is None else math.fsum(map(mul, masses, im)) / total)
+    """Mass-weighted mean of a real and an imaginary column, summed exactly.
+
+    Where the products m x overflow, the masses and the total are scaled
+    once by the exact power of two that brings the total into [0.5, 1).
+    """
+
+    def mean(masses, total):
+        im_sum = 0.0 if im is None else math.fsum(map(mul, masses, im))
+        return complex(math.fsum(map(mul, masses, re)) / total, im_sum / total)
+
+    try:  # fsum raises past the double range, or over +-inf products
+        value = mean(masses, total)
+        if cmath.isfinite(value):
+            return value
+    except (OverflowError, ValueError):
+        pass
+    shift = -math.frexp(total)[1]
+    return mean([math.ldexp(m, shift) for m in masses], math.ldexp(total, shift))
 
 
 def com_euclidean(masses, positions) -> complex:

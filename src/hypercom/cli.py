@@ -47,6 +47,7 @@ from .geometry import (
     BOUNDARY_MARGIN,
     TOL_CONSTRUCT,
     _disk_distance,
+    _disk_point,
     _line_coordinate,
     _project,
     _sheet_distance,
@@ -115,7 +116,7 @@ def _cmd_com(args) -> int:
     if system.model == HYPERBOLOID:
         # Far centers keep their place in log_ratio_mean and
         # center_hyperboloid; center_disk rounds into the rim band.
-        results["center_disk"] = _pair(radius * cmath.tanh(0.5 * mean))
+        results["center_disk"] = _pair(_disk_point(0.5 * mean, radius))
         results["center_hyperboloid"] = list(center)
     elif system.model == LINE:
         results["center_interval"] = center
@@ -260,7 +261,7 @@ def _cmd_karcher_compare(args) -> int:
     mean, center = _system_center(system)
     if system.model == HYPERBOLOID:
         # Sheet distances: far points never enter the disk.
-        center_disk = radius * cmath.tanh(0.5 * mean)
+        center_disk = _disk_point(0.5 * mean, radius)
         probes = (center, mean_point)
         distance = _sheet_distance
     else:

@@ -1,11 +1,11 @@
 """Balanced configurations and how their center behaves under rotation.
 
 A two-body configuration on a diameter of the disk balances when
-m1 s1 = m2 s2, with s the arclength from the pole to each particle.
-Solving the balance for the second radius gives the closed form
-r = R tanh((m1 / (2 m2)) log((R + alpha) / (R - alpha))), which orders
-against alpha exactly opposite to the masses: heavier partner, smaller
-radius.
+m1 s1 = m2 s2, with s = R v the arclength from the pole to each
+particle and v = log((R + u) / (R - u)) = 2 atanh(u / R), read in the
+atanh form.  Solving the balance for the second radius gives the closed
+form r = R tanh((m1 / m2) atanh(alpha / R)), which orders against alpha
+exactly opposite to the masses: heavier partner, smaller radius.
 
 Rigidly rotating a configuration and recomputing its center probes
 whether the averaging formula commutes with rotations.  It does for
@@ -37,6 +37,7 @@ from .barycenter import (
 from .errors import NumericalError, ValidationError
 from .geometry import (
     BOUNDARY_MARGIN,
+    _disk_point,
     _line_coordinate,
     check_interval_point,
     check_radius,
@@ -57,10 +58,10 @@ LAGRANGIAN = "lagrangian"
 def balance_radius(m1: float, m2: float, alpha: float, radius: float) -> float:
     """Radius r at which mass m2 opposite the origin balances m1 at alpha.
 
-    Closed form r = R tanh((m1 / (2 m2)) log((R + alpha) / (R - alpha))).
+    Closed form r = R tanh(m1 v(alpha) / (2 m2)), v = 2 atanh(alpha / R).
     The result is certified: the balance recomputed from the rounded r
     must hold to EQUALITY_RTOL, which fails (NumericalError) once r is
-    within about 1e-5 of the rim, where the log ratio loses the digits
+    within about 1e-5 of the rim, where rounding r costs v(r) the digits
     the balance invariant needs.  Extreme mass ratios with alpha near
     the rim land there; the balancing radius exists but doubles cannot
     carry it.
@@ -72,7 +73,7 @@ def balance_radius(m1: float, m2: float, alpha: float, radius: float) -> float:
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be in (0, R), got {alpha!r}")
     target = m1 * _line_coordinate(alpha, radius)
-    r = radius * math.tanh(target / (2.0 * m2))
+    r = _disk_point(target / (2.0 * m2), radius).real
     if r >= radius * (1.0 - BOUNDARY_MARGIN):
         raise NumericalError(
             f"balancing radius for masses ({m1!r}, {m2!r}) at alpha {alpha!r} "

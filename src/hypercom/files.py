@@ -54,9 +54,11 @@ def read_system_text(text: str) -> MassedSystem:
     """Parse and validate a system document from its JSON text."""
     try:
         data = json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, or an integer past the digit limit of int().
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"system file is not valid JSON: {exc}") from exc
+    except ValueError:
+        # An integer past the digits int() reads; the JSON itself is valid.
+        raise ValidationError("system file holds a number with too many digits") from None
     if not isinstance(data, dict):
         raise ValidationError("system file must be a JSON object")
     unknown = set(data) - TOP_LEVEL_KEYS

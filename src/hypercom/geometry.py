@@ -203,7 +203,7 @@ def _unproject(w: complex, radius: float) -> HPoint:
     """Kernel of unproject for a validated disk point and radius."""
     rr = radius * radius
     ww = w.real * w.real + w.imag * w.imag
-    denom = rr - ww
+    denom = _rim_gap(w, radius)
     return HPoint(
         2.0 * rr * w.real / denom,
         2.0 * rr * w.imag / denom,
@@ -324,8 +324,8 @@ def arclength_from_pole(u: float, radius: float) -> float:
     """Signed geodesic arclength from the pole to the 1D point over u.
 
     Integrating the conformal line element 2 R^2 dt / (R^2 - t^2) from
-    0 to u gives s = R log((R + u) / (R - u)); odd and strictly
-    increasing in u.
+    0 to u gives s = R log((R + u) / (R - u)) = 2 R atanh(u / R); odd
+    and strictly increasing in u.
     """
     radius = check_radius(radius)
     return radius * _line_coordinate(check_interval_point(u, radius), radius)
@@ -340,8 +340,24 @@ def arc_between(u1: float, u2: float, radius: float) -> float:
 
 
 def _line_coordinate(u: float, radius: float) -> float:
-    """The paper's coordinate log((R + u) / (R - u)) of a validated point."""
-    return math.log((radius + u) / (radius - u))
+    """The paper's coordinate v = 2 atanh(u / R) of a validated point."""
+    return 2.0 * _line_halves((u,), radius)[0]
+
+
+# v = log((R + w) / (R - w)) is read as 2 atanh(w / R): for |w| << R the
+# ratio rounds to 1 + 2w/R.  The kernels give and take h = v / 2.
+def _line_halves(positions, radius: float) -> list[float]:
+    return [math.atanh(u / radius) for u in positions]
+
+
+def _disk_halves(positions, radius: float) -> list[complex]:
+    # |w| < R keeps h in |Im h| < pi/4, off the branch cuts of atanh.
+    return [cmath.atanh(w / radius) for w in positions]
+
+
+def _disk_point(h: complex, radius: float) -> complex:
+    """R tanh(h); inverse of _disk_halves, and in its real part of _line_halves."""
+    return radius * cmath.tanh(h)
 
 
 @dataclass(frozen=True)

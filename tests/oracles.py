@@ -181,6 +181,16 @@ def lever_residual_highprec(m1, p1, m2, p2, probe, radius, dps=40):
         )
 
 
+def unproject_highprec(w, radius, dps=40):
+    """Sheet point (x, y, z) over the disk point w, as three floats."""
+    with mp.workdps(dps):
+        r, w = mp.mpf(radius), mp.mpc(w)
+        ww = abs(w) ** 2
+        d = r * r - ww
+        lifted = (2 * r * r * w.real / d, 2 * r * r * w.imag / d, r * (r * r + ww) / d)
+        return tuple(float(c) for c in lifted)
+
+
 def disk_distance_highprec(a, b, radius, dps=40):
     """Disk distance R acosh(1 + 2 R^2 |a - b|^2 / ((R^2 - |a|^2)(R^2 - |b|^2)))."""
     with mp.workdps(dps):
@@ -332,24 +342,27 @@ def com_hyperboloid_reference(masses, points, radius):
 
 
 def com_line_reference(system):
-    """Line center from a generator over the particles, summed exactly."""
+    """Line center from a generator over the particles, summed exactly.
+
+    The mean is taken of half the coordinate, atanh(u / R), as the
+    library takes it: where the products m h are subnormal, m (2h) and
+    2 (m h) round differently.
+    """
     radius = system.radius
     particles = system.particles
     if len(particles) == 1:
         return float(particles[0].position)
     total = math.fsum(p.mass for p in particles)
-    mean = (
-        math.fsum(
-            p.mass * math.log((radius + p.position) / (radius - p.position))
-            for p in particles
-        )
-        / total
-    )
-    return radius * math.tanh(0.5 * mean)
+    mean = math.fsum(p.mass * math.atanh(p.position / radius) for p in particles) / total
+    return radius * math.tanh(mean)
 
 
 def com_disk_reference(system):
-    """Disk center from the validating log_ratio and log_ratio_inv."""
+    """Disk center from the validating log_ratio and log_ratio_inv.
+
+    Averages half of each log_ratio (halving 2h is exact) for the reason
+    given in com_line_reference.
+    """
     from hypercom import CenterOfMass, log_ratio, log_ratio_inv
 
     radius = system.radius
@@ -360,10 +373,10 @@ def com_disk_reference(system):
         return CenterOfMass(
             center=w, log_ratio_mean=log_ratio(w, radius), total_mass=total
         )
-    coords = [log_ratio(w, radius) for w in system.positions()]
-    mean = complex(
-        math.fsum(m * v.real for m, v in zip(masses, coords)) / total,
-        math.fsum(m * v.imag for m, v in zip(masses, coords)) / total,
+    halves = [0.5 * log_ratio(w, radius) for w in system.positions()]
+    mean = 2.0 * complex(
+        math.fsum(m * h.real for m, h in zip(masses, halves)) / total,
+        math.fsum(m * h.imag for m, h in zip(masses, halves)) / total,
     )
     return CenterOfMass(
         center=log_ratio_inv(mean, radius), log_ratio_mean=mean, total_mass=total

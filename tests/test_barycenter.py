@@ -330,15 +330,70 @@ def test_com_hyperboloid_center_on_the_band_rim_is_a_numerical_error():
 
 
 @pytest.mark.parametrize("model", ["line", "disk"])
-def test_center_whose_weighted_coordinates_overflow_is_a_numerical_error(model):
+def test_center_whose_weighted_coordinates_overflow_matches_the_oracle(model):
     # m v passes the double range at these masses although the total
     # does not: the exact sum raised ValueError ("-inf + inf in fsum"),
-    # and with one sign it read inf and put the center on the rim.
-    build, center = {"line": (line_system, com_line), "disk": (disk_system, com_disk)}[model]
-    for positions in ([0.9, -0.9], [0.9, 0.0]):
-        system = build([8e307, 8e307], positions, 1.0)
-        with pytest.raises(NumericalError, match=f"no representable {model} point"):
-            center(system)
+    # or read inf, and the center was a NumericalError.
+    build = {"line": line_system, "disk": disk_system}[model]
+    for masses, positions in (
+        ([8e307, 8e307], [0.9, -0.9]),
+        ([8e307, 8e307], [0.9, 0.0]),
+        ([1.5e308, 1e307], [0.9, -0.9]),
+    ):
+        system = build(masses, positions, 1.0)
+        center = com_line(system) if model == "line" else com_disk(system).center
+        assert abs(center - com_disk_highprec(masses, positions, 1.0)) <= 1e-15
+    # R tanh((1.4 / 1.6) atanh 0.9)
+    assert center == pytest.approx(0.8586522980197282, rel=1e-15)
+
+
+def _near_pole_pool(line, count=200):
+    """|w| / R log-uniform in [1e-12, 1e-3], R log-uniform in [1e-3, 1e3]."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        radius = 10.0 ** rng.uniform(-3.0, 3.0)
+        n = int(rng.integers(2, 7))
+        masses = [float(m) for m in rng.uniform(0.1, 10.0, n)]
+        moduli = radius * 10.0 ** rng.uniform(-12.0, -3.0, n)
+        angles = rng.uniform(0.0, 2.0 * math.pi, n)
+        if line:
+            positions = [float(r * np.sign(np.cos(a))) for r, a in zip(moduli, angles)]
+        else:
+            positions = [float(r) * cmath.exp(1j * float(a)) for r, a in zip(moduli, angles)]
+        yield masses, positions, radius
+
+
+def _swept_pool(line):
+    """The README pair and masses 1, 2 at 0.5, 0.1, at radii up to 1e17."""
+    for masses, positions in (([1.0, 2.0], [0.5, -PARTNER_12]), ([1.0, 2.0], [0.5, 0.1])):
+        for radius in (10.0, 1e3, 1e5, 1e7, 1e8, 1e15, 1e17):
+            yield masses, positions, radius
+
+
+POLE_POOLS = pytest.mark.parametrize(
+    "pool", [_near_pole_pool, _swept_pool], ids=["near-pole", "swept"]
+)
+
+
+@POLE_POOLS
+def test_com_line_holds_its_digits_for_points_near_the_pole(pool):
+    # log((R + u) / (R - u)) rounded the ratio to 1 + 2u/R: relative
+    # errors up to 1e-4 in the coordinate, and centers rounded to 0.
+    for masses, positions, radius in pool(line=True):
+        center = com_line(line_system(masses, positions, radius))
+        expected = com_disk_highprec(masses, positions, radius, dps=40).real
+        assert abs(center - expected) <= 1e-15 * max(map(abs, positions))
+
+
+@POLE_POOLS
+def test_com_disk_holds_its_digits_for_points_near_the_pole(pool):
+    for masses, positions, radius in pool(line=False):
+        com = com_disk(disk_system(masses, positions, radius))
+        expected = com_disk_highprec(masses, positions, radius, dps=40)
+        reach = max(map(abs, positions))
+        assert abs(com.center - expected) <= 1e-15 * reach
+        mean = 2.0 * cmath.atanh(expected / radius)
+        assert abs(com.log_ratio_mean - mean) <= 2e-15 * reach / radius
 
 
 @pytest.mark.parametrize(
@@ -376,6 +431,9 @@ def test_com_euclidean_examples():
     assert com_euclidean([1.0], [0.3 + 0.7j]) == 0.3 + 0.7j
     assert com_euclidean([1.0, 1.0], [0.3, 0.5]) == pytest.approx(0.4 + 0j)
     assert com_euclidean([1.0, 2.0], [0j, 0.3j]) == pytest.approx(0.2j)
+    # Products m w past the double range: "-inf + inf in fsum".
+    assert com_euclidean([1e300, 1e300], [1e50, -1e50]) == 0.0
+    assert com_euclidean([1.5e308, 1e307], [1e300j, -1e300j]) == pytest.approx(8.75e299j)
     with pytest.raises(ValidationError):
         com_euclidean([], [])
     with pytest.raises(ValidationError):

@@ -296,6 +296,54 @@ def test_limit_sweep_ratio_over_a_zero_error_is_null(tmp_path):
     assert [error for _, error in results["rows"]] == [0.0, 0.0, 0.0]
 
 
+def _readme_system(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"^```json\n(.*?)^```$", readme, re.M | re.S).group(1)
+    path = tmp_path / "system.json"
+    path.write_text(text)
+    data = json.loads(text)
+    masses = [p["mass"] for p in data["particles"]]
+    return path, masses, [complex(*p["coords"]) for p in data["particles"]]
+
+
+def test_limit_sweep_of_the_readme_system_approaches_the_flat_limit(tmp_path):
+    # log((R + w) / (R - w)) rounded the ratio to 1 + 2w/R: past
+    # R = 1e5 the errors rose again (1.1e-12, 7.5e-12, 4.0e-10) and
+    # strictly_decreasing read false.
+    path, masses, points = _readme_system(tmp_path)
+    sweep = [10.0, 100.0, 1000.0, 1e4, 1e5, 1e6, 1e7]
+    done = run_cli("limit-sweep", "--input", str(path), "--sweep", "10,100,1000,1e4,1e5,1e6,1e7")
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert results["strictly_decreasing"] is True
+    for (radius, error), want in zip(results["rows"], sweep):
+        assert radius == want
+        assert abs(error - euclidean_limit_error_highprec(masses, points, radius)) <= 1e-16
+
+
+def test_limit_sweep_holds_the_flat_limit_at_huge_radii(tmp_path):
+    # At the parent these rows read 3.8e-9, 0.026 and 0.2333 (the flat
+    # mean itself: the center had rounded to the origin).
+    path = write_system(
+        tmp_path / "pair.json", 1.0, "disk", [(1.0, (0.5, 0.0)), (2.0, (0.1, 0.0))]
+    )
+    done = run_cli("limit-sweep", "--input", str(path), "--sweep", "1e8,1e15,1e17")
+    assert done.returncode == 0, done.stderr
+    for _, error in json.loads(done.stdout)["results"]["rows"]:
+        assert error <= 1e-16
+
+
+def test_limit_sweep_with_overflowing_products_reports_its_rows(tmp_path):
+    # m w passes the double range in the flat mean: a traceback,
+    # "ValueError: -inf + inf in fsum", exit 1.
+    path = write_system(
+        tmp_path / "heavy.json", 1e60, "disk", [(1e300, (1e50, 0.0)), (1e300, (-1e50, 0.0))]
+    )
+    done = run_cli("limit-sweep", "--input", str(path), "--sweep", "1e60,2e60")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["rows"] == [[1e60, 0.0], [2e60, 0.0]]
+
+
 def test_report_with_a_non_finite_value_is_a_numerical_failure():
     from hypercom import NumericalError
     from hypercom.files import report_text
@@ -470,6 +518,8 @@ def test_oversized_integer_in_a_system_file_is_an_input_error(tmp_path, field, d
         done = run_cli(command, "--input", str(path))
         _one_line_failure(done, 1)
         assert "hypercom: error:" in done.stderr
+        # A remedy the user of the CLI cannot apply.
+        assert "set_int_max_str_digits" not in done.stderr
 
 
 def test_exit_code_usage_errors():

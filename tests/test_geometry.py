@@ -40,6 +40,7 @@ from oracles import (
     arclength_quadrature,
     disk_distance_highprec,
     sheet_distance_highprec,
+    unproject_highprec,
 )
 
 RADII = (0.5, 1.0, 10.0)
@@ -588,3 +589,14 @@ def test_rotation_is_isometry():
         d0 = disk_distance(w1, w2, 1.0)
         d1 = disk_distance(rotate_disk(w1, angle), rotate_disk(w2, angle), 1.0)
         assert abs(d0 - d1) <= 1e-12
+
+
+@pytest.mark.parametrize("radius", [1.0, 3.7, 1e-50, 1e50])
+@pytest.mark.parametrize("gap", [1e-8, 1e-11])
+def test_unproject_near_the_rim_matches_the_oracle(radius, gap):
+    # R^2 - |w|^2 formed as rr - ww lost about 1e-16 / gap relative:
+    # 0.99999999 e^(0.7i) at R = 1 was off by 1.9e-9.
+    w = (1.0 - gap) * radius * cmath.exp(0.7j)
+    lifted = unproject(w, radius)
+    for got, want in zip(lifted, unproject_highprec(w, radius)):
+        assert abs(got - want) <= 1e-15 * abs(want)

@@ -441,8 +441,8 @@ def test_eulerian_triple_equals_generator_loops(masses, positions, radius):
     positions = [radius * u for u in positions]
     _, com = eulerian_triple(masses, positions, radius)
     total = math.fsum(masses)
-    mean = math.fsum(
-        m * math.log((radius + u) / (radius - u)) for m, u in zip(masses, positions)
-    ) / total
+    mean = 2.0 * (
+        math.fsum(m * math.atanh(u / radius) for m, u in zip(masses, positions)) / total
+    )
     center = com_line_reference(line_system(masses, positions, radius))
     assert com == CenterOfMass(complex(center), complex(mean), total)
