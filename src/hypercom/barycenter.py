@@ -24,6 +24,9 @@ One kernel, _center, serves the line, the disk and the sheet: it reads
 v from each model's own coordinates, forms the mean once with exact
 sums and maps it back into the same model.  The public centers, the
 rotation sweep, the Eulerian triple and the CLI reports all call it.
+Its particles are checked in one place, by MassedSystem: the system
+builders, com_hyperboloid and the triples build one, and the kernel
+trusts what it reads.
 
 Whether the same point satisfies the geodesic lever rule for generic
 (non-diametric) configurations is deliberately not assumed here; the
@@ -39,7 +42,6 @@ from operator import mul
 
 from .errors import NumericalError, ValidationError
 from .geometry import (
-    BOUNDARY_MARGIN,
     HPoint,
     check_disk_point,
     check_hpoint,
@@ -49,6 +51,7 @@ from .geometry import (
     geodesic_between,
     _disk_halves,
     _disk_point,
+    _inside,
     _line_halves,
     _on_sheet_column,
     _project,
@@ -171,35 +174,6 @@ def _masses_valid(masses) -> bool:
     return all(map(math.isfinite, masses)) and min(masses) > 0.0
 
 
-def _inside(positions, radius: float) -> bool:
-    """Whether every disk or line point clears the rim band.
-
-    The same comparison as check_disk_point and check_interval_point;
-    a NaN or infinite point has a NaN or infinite modulus and fails it,
-    and so does a finite point whose modulus overflows.
-    """
-    limit = radius * (1.0 - BOUNDARY_MARGIN)
-    try:
-        return all(map(limit.__gt__, map(abs, positions)))
-    except OverflowError:
-        return False
-
-
-def _checked_masses(masses) -> tuple[list[float], float]:
-    """[check_mass(m) for m in masses] and their exact total.
-
-    One pass when every mass is valid.
-    """
-    masses = list(masses)
-    try:
-        floats = list(map(float, masses))
-    except (TypeError, ValueError):
-        floats = []
-    if not (floats and _masses_valid(floats)):
-        floats = [check_mass(m) for m in masses]
-    return floats, _total_mass(floats)
-
-
 def _total_mass(masses) -> float:
     """Exact sum of valid masses; a sum past the double range is an input error."""
     try:
@@ -274,21 +248,17 @@ def com_disk(system: MassedSystem) -> CenterOfMass:
 def com_hyperboloid(masses, points, radius: float) -> HPoint:
     """Center of mass of particles on the sheet, in the band coordinate.
 
+    The particles are checked as a system is: masses converted to
+    floats first, then the radius, the particle count and each
+    particle's mass before its point, and the first bad entry raises.
     Every representable sheet point is accepted.  A single particle is
-    returned as given; a center whose mean b rounds to the band's rim
-    raises NumericalError.
+    returned as an HPoint; a center whose mean b rounds to the band's
+    rim raises NumericalError.
     """
-    radius = check_radius(radius)
-    points = list(points)
-    if not _on_sheet_column(points, radius):
-        for p in points:
-            check_hpoint(p, radius)
-    masses, total = _checked_masses(masses)
-    if len(masses) != len(points):
-        raise ValidationError(f"{len(masses)} masses for {len(points)} points")
-    if not points:
-        raise ValidationError("a system needs at least one particle")
-    return _center(HYPERBOLOID, masses, total, points, radius)[1]
+    # The system holds the caller's 3-sequences, not HPoints, and never
+    # leaves this function: _center reads only their x and y.
+    system = MassedSystem(tuple(map(float, masses)), tuple(points), radius, HYPERBOLOID)
+    return _system_center(system)[1]
 
 
 def _system_center(system: MassedSystem):
@@ -362,7 +332,8 @@ def _mean(masses, total: float, re, im=None) -> complex:
 
 def com_euclidean(masses, positions) -> complex:
     """Flat weighted mean; the zero-curvature limit of com_disk."""
-    masses, total = _checked_masses(masses)
+    masses = [check_mass(m) for m in masses]
+    total = _total_mass(masses)
     positions = [complex(p) for p in positions]
     if len(masses) != len(positions):
         raise ValidationError(
@@ -370,6 +341,9 @@ def com_euclidean(masses, positions) -> complex:
         )
     if not positions:
         raise ValidationError("a system needs at least one particle")
+    for p in positions:
+        if not cmath.isfinite(p):
+            raise ValidationError(f"position must be finite, got {p!r}")
     if len(positions) == 1:
         return positions[0]
     return _mean(masses, total, [p.real for p in positions], [p.imag for p in positions])

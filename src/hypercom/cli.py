@@ -48,6 +48,7 @@ from .geometry import (
     TOL_CONSTRUCT,
     _disk_distance,
     _disk_point,
+    _inside,
     _line_coordinate,
     _project,
     _sheet_distance,
@@ -196,10 +197,7 @@ def _parse_sweep(text: str) -> list[float]:
         raise ValidationError(f"bad sweep list {text!r}: {exc}") from exc
     if not radii:
         raise ValidationError("sweep list is empty")
-    for radius in radii:
-        if not (math.isfinite(radius) and radius > 0):
-            raise ValidationError(f"sweep radii must be positive, got {radius!r}")
-    return radii
+    return [check_radius(radius) for radius in radii]
 
 
 def _cmd_limit_sweep(args) -> int:
@@ -213,14 +211,14 @@ def _cmd_limit_sweep(args) -> int:
         positions = list(map(complex, points))
     smallest = min(radii)
     for p, w in zip(points, positions):
-        if abs(w) >= smallest * (1.0 - BOUNDARY_MARGIN):
+        if not _inside((w,), smallest):
             raise ValidationError(
                 f"point {tuple(p)!r} has no representable disk image for radius {radius!r}"
                 if cmath.isinf(w)
                 else f"point {w!r} falls outside the swept disk of radius {smallest!r}"
             )
     total = system.total_mass
-    centers = [_center(DISK, masses, total, positions, check_radius(r))[1] for r in radii]
+    centers = [_center(DISK, masses, total, positions, r)[1] for r in radii]
     flat = com_euclidean(masses, positions)
     rows = [(r, abs(center - flat)) for r, center in zip(radii, centers)]
     if args.format == "csv":

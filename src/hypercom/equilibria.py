@@ -36,8 +36,8 @@ from .barycenter import (
 )
 from .errors import NumericalError, ValidationError
 from .geometry import (
-    BOUNDARY_MARGIN,
     _disk_point,
+    _inside,
     _line_coordinate,
     check_interval_point,
     check_radius,
@@ -74,7 +74,7 @@ def balance_radius(m1: float, m2: float, alpha: float, radius: float) -> float:
         raise ValidationError(f"alpha must be in (0, R), got {alpha!r}")
     target = m1 * _line_coordinate(alpha, radius)
     r = _disk_point(target / (2.0 * m2), radius).real
-    if r >= radius * (1.0 - BOUNDARY_MARGIN):
+    if not _inside((r,), radius):
         raise NumericalError(
             f"balancing radius for masses ({m1!r}, {m2!r}) at alpha {alpha!r} "
             f"rounds onto the disk boundary"
@@ -102,6 +102,8 @@ class TwoBodyEquilibrium:
         radius = check_radius(self.radius)
         check_mass(self.m1)
         check_mass(self.m2)
+        check_interval_point(self.alpha, radius)
+        check_interval_point(self.partner_radius, radius)
         s1 = self.m1 * _line_coordinate(self.alpha, radius)
         s2 = self.m2 * _line_coordinate(self.partner_radius, radius)
         if abs(s1 - s2) > EQUALITY_RTOL * max(abs(s1), abs(s2)):
@@ -204,6 +206,8 @@ def rotation_sweep(system: MassedSystem, angles=None) -> RotationSweep:
     radius = float(system.radius)
     samples = []
     for angle in angles:
+        if not math.isfinite(angle):
+            raise ValidationError(f"rotation angle must be finite, got {angle!r}")
         rot = cmath.exp(1j * angle)
         mean, center = _center(DISK, masses, total, [w * rot for w in positions], radius)
         defect = abs(center - base.center * rot)
@@ -229,11 +233,10 @@ class TripleConfig:
     radius: float
 
     def __post_init__(self):
-        radius = check_radius(self.radius)
-        for m in self.masses:
-            check_mass(m)
-        for p in self.positions:
-            check_disk_point(p, radius)
+        if len(self.masses) != 3 or len(self.positions) != 3:
+            raise ValidationError("a triple needs exactly three masses and positions")
+        disk_system(self.masses, self.positions, self.radius)
+        radius = float(self.radius)
         if self.kind == EULERIAN:
             if any(p.imag != 0.0 for p in self.positions):
                 raise ValidationError(
@@ -266,8 +269,6 @@ def eulerian_triple(masses, positions, radius) -> tuple[TripleConfig, CenterOfMa
     """
     masses = tuple(float(m) for m in masses)
     positions = tuple(float(u) for u in positions)
-    if len(masses) != 3 or len(positions) != 3:
-        raise ValidationError("a triple needs exactly three masses and positions")
     system = line_system(masses, positions, radius)
     mean, center = _system_center(system)
     config = TripleConfig(

@@ -122,6 +122,22 @@ def _on_sheet_column(points, radius: float) -> bool:
         return False
 
 
+def _inside(positions, radius: float) -> bool:
+    """Whether every disk or line point w clears the rim band.
+
+    The one spelling of the band, |w| < R (1 - BOUNDARY_MARGIN), for
+    check_disk_point, check_interval_point, the system's column test,
+    balance_radius and limit-sweep.  A NaN or infinite point
+    has a NaN or infinite modulus and fails it, and so does a finite
+    point whose modulus overflows.
+    """
+    limit = radius * (1.0 - BOUNDARY_MARGIN)
+    try:
+        return all(map(limit.__gt__, map(abs, positions)))
+    except OverflowError:
+        return False
+
+
 def hpoint(x: float, y: float, z: float, radius: float) -> HPoint:
     """Validating constructor for hyperboloid points."""
     return check_hpoint(HPoint(float(x), float(y), float(z)), check_radius(radius))
@@ -150,11 +166,7 @@ def check_disk_point(w, radius: float) -> complex:
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ValidationError(f"disk point must be finite, got {w!r}")
-    try:
-        outside = abs(w) >= radius * (1.0 - BOUNDARY_MARGIN)
-    except OverflowError:
-        outside = True
-    if outside:
+    if not _inside((w,), radius):
         raise ValidationError(
             f"point {w!r} is not inside the disk of radius {radius!r}"
         )
@@ -164,7 +176,7 @@ def check_disk_point(w, radius: float) -> complex:
 def check_interval_point(u: float, radius: float) -> float:
     """Validate a 1D model point u in (-R, R), same boundary band as the disk."""
     u = float(u)
-    if not math.isfinite(u) or abs(u) >= radius * (1.0 - BOUNDARY_MARGIN):
+    if not _inside((u,), radius):
         raise ValidationError(
             f"coordinate {u!r} is not inside the interval (-{radius!r}, {radius!r})"
         )

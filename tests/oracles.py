@@ -321,23 +321,27 @@ def log_map_highprec(p, q, radius):
 def com_hyperboloid_reference(masses, points, radius):
     """Sheet center with every check made one particle at a time.
 
-    Sheet points first, then masses, then the particle count, as the
-    center has always checked them.  A single particle is its own
-    center; otherwise the center is com_hyperboloid_highprec.
+    Checked as a system: every mass converted to a float first, then
+    the radius, the particle count, and each particle's mass before its
+    point, so the first invalid entry raises.  A single particle is its
+    own center; otherwise the center is com_hyperboloid_highprec.
     """
     from hypercom import ValidationError
     from hypercom.barycenter import check_mass
     from hypercom.geometry import check_hpoint, check_radius
 
+    masses = [float(m) for m in masses]
+    points = list(points)
     radius = check_radius(radius)
-    points = [check_hpoint(p, radius) for p in points]
-    masses = [check_mass(m) for m in masses]
-    if len(masses) != len(points):
-        raise ValidationError(f"{len(masses)} masses for {len(points)} points")
-    if not points:
+    if not masses:
         raise ValidationError("a system needs at least one particle")
+    if len(masses) != len(points):
+        raise ValidationError(f"{len(masses)} masses for {len(points)} positions")
+    for m, p in zip(masses, points):
+        check_mass(m)
+        check_hpoint(p, radius)
     if len(points) == 1:
-        return points[0]
+        return check_hpoint(points[0], radius)
     return com_hyperboloid_highprec(masses, points, radius)
 
 

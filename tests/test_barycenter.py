@@ -440,6 +440,27 @@ def test_com_euclidean_examples():
         com_euclidean([0.0], [0j])
 
 
+@pytest.mark.parametrize(
+    "positions", [[math.inf, -math.inf], [math.nan, 0.0], [0.1, complex(0.0, math.inf)]]
+)
+def test_com_euclidean_rejects_positions_that_are_not_finite(positions):
+    # [inf, -inf] ended in "ValueError: -inf + inf in fsum", and
+    # [nan, 0] returned nan+0j.
+    with pytest.raises(ValidationError, match="position must be finite"):
+        com_euclidean([1.0, 1.0], positions)
+
+
+def test_com_hyperboloid_checks_like_a_system():
+    pole = (0.0, 0.0, 1.0)
+    # It said "1 masses for 2 points".
+    with pytest.raises(ValidationError, match="^1 masses for 2 positions$"):
+        com_hyperboloid([1.0], [pole, pole], 1.0)
+    # The first particle's bad mass comes before the second one's bad
+    # point; every point used to be checked before any mass.
+    with pytest.raises(ValidationError, match="mass must be positive"):
+        com_hyperboloid([0.0, 1.0], [pole, (1.0, 0.0, 1.0)], 1.0)
+
+
 def test_limit_error_decreases_quadratically():
     errors = [
         euclidean_limit_error([1.0, 1.0], [0.3, 0.5], radius)

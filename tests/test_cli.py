@@ -262,6 +262,16 @@ def test_limit_sweep_rejects_outside_point(tmp_path):
     assert "outside the swept disk" in done.stderr
 
 
+@pytest.mark.parametrize("sweep", ["2,0", "2,1e200"])
+def test_limit_sweep_checks_each_radius_as_a_radius(pair_file, sweep):
+    # The parser said "sweep radii must be positive" for 0, and let 1e200
+    # through to a second check in the sweep.
+    done = run_cli("limit-sweep", "--input", str(pair_file), "--sweep", sweep)
+    assert done.returncode == 1
+    assert "curvature radius" in done.stderr
+    assert done.stderr.count("\n") == 1
+
+
 def test_limit_sweep_accepts_far_sheet_input(tmp_path):
     # The point at 35R projects into the rim band of R = 1, and the
     # command exited 1 with "not inside the disk".  Only the smallest

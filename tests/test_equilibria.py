@@ -108,6 +108,14 @@ def test_two_body_equilibrium_invariant():
         TwoBodyEquilibrium(m1=1.0, m2=2.0, alpha=0.5, partner_radius=0.3, radius=1.0)
 
 
+@pytest.mark.parametrize("outside", [2.0, 1.0, math.nan, math.inf])
+def test_two_body_equilibrium_rejects_radii_off_the_interval(outside):
+    # (1, 1, 2, 2, 1) ended in "ValueError: math domain error", and
+    # (1, 1, nan, nan, 1) was accepted as a certified balance.
+    with pytest.raises(ValidationError, match="not inside the interval"):
+        TwoBodyEquilibrium(m1=1.0, m2=1.0, alpha=outside, partner_radius=outside, radius=1.0)
+
+
 def test_diametric_system_balances():
     system = diametric_system(1.0, 2.0, 0.5, 1.0)
     assert system.particles[0].position == 0.5 + 0j
@@ -174,6 +182,14 @@ def test_sweep_base_at_zero_angle_has_no_defect():
     assert sweep.samples[0].defect == 0.0
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_angles_that_are_not_finite(angle):
+    # The sweep returned nan+nanj centers and a nan max_defect.
+    system = diametric_system(1.0, 2.0, 0.5, 1.0)
+    with pytest.raises(ValidationError, match="angle must be finite"):
+        rotation_sweep(system, [0.0, angle])
+
+
 def test_sweep_rejects_empty_angle_list():
     system = diametric_system(1.0, 2.0, 0.5, 1.0)
     for angles in ([], (), iter([])):
@@ -212,6 +228,32 @@ def test_eulerian_validation():
             kind="eulerian",
             masses=(1.0, 1.0, 1.0),
             positions=(0.1 + 0.2j, 0.3 + 0j, -0.4 + 0j),
+            radius=1.0,
+        )
+
+
+@pytest.mark.parametrize(
+    "masses, positions",
+    [
+        ((1.0, 1.0), (0j, 0.1 + 0j)),
+        ((1.0, 1.0, 1.0), (0j, 0.1 + 0j)),
+        ((1.0, 1.0, 1.0, 1.0), (0j, 0.1 + 0j, -0.1 + 0j, 0.2 + 0j)),
+    ],
+)
+def test_triple_needs_exactly_three_particles(masses, positions):
+    # Two particles, and three masses with two positions, were accepted.
+    with pytest.raises(ValidationError, match="exactly three"):
+        TripleConfig(kind="eulerian", masses=masses, positions=positions, radius=1.0)
+
+
+def test_triple_checks_particles_in_order():
+    # The system's walk: the first particle's bad position comes before
+    # the second particle's bad mass.
+    with pytest.raises(ValidationError, match="not inside the disk"):
+        TripleConfig(
+            kind="eulerian",
+            masses=(1.0, -1.0, 1.0),
+            positions=(2.0 + 0j, 0j, 0.1 + 0j),
             radius=1.0,
         )
 
