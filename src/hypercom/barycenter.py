@@ -208,9 +208,9 @@ def log_ratio_inv(v, radius: float) -> complex:
     """Inverse coordinate map w = R tanh(v / 2) on the strip |Im v| < pi/2."""
     radius = check_radius(radius)
     v = complex(v)
-    if not abs(v.imag) < 0.5 * math.pi:
+    if not (cmath.isfinite(v) and abs(v.imag) < 0.5 * math.pi):
         raise ValidationError(
-            f"coordinate {v!r} is outside the strip |imag| < pi/2"
+            f"coordinate {v!r} is not a finite point of the strip |imag| < pi/2"
         )
     return _disk_point(0.5 * v, radius)
 

@@ -72,20 +72,36 @@ def balance_radius(m1: float, m2: float, alpha: float, radius: float) -> float:
     alpha = check_interval_point(alpha, radius)
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be in (0, R), got {alpha!r}")
-    target = m1 * _line_coordinate(alpha, radius)
-    r = _disk_point(target / (2.0 * m2), radius).real
+    v = _line_coordinate(alpha, radius)
+    target, twice = _lever_sides(m1, v, m2, 2.0)
+    # twice is 0 only for m1 near the top of the doubles and m2 near the
+    # bottom, where r is at the rim.
+    r = _disk_point(target / twice if twice else math.inf, radius).real
     if not _inside((r,), radius):
         raise NumericalError(
             f"balancing radius for masses ({m1!r}, {m2!r}) at alpha {alpha!r} "
             f"rounds onto the disk boundary"
         )
-    achieved = m2 * _line_coordinate(r, radius)
-    if abs(achieved - target) > EQUALITY_RTOL * max(abs(achieved), abs(target)):
+    target, achieved = _lever_sides(m1, v, m2, _line_coordinate(r, radius))
+    # r = 0, a radius that underflowed, balances nothing for alpha > 0.
+    if r == 0.0 or abs(achieved - target) > EQUALITY_RTOL * max(achieved, target):
         raise NumericalError(
             f"balancing radius {r!r} cannot reproduce the lever balance to "
             f"{EQUALITY_RTOL!r} in double precision"
         )
     return r
+
+
+def _lever_sides(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:
+    """m1 v1 and m2 v2, on masses scaled exactly by one common power of two.
+
+    Only masses at either end of the doubles move: a subnormal lighter one
+    up into [0.5, 1), both down to keep the heavier below 2^1018 (|v| < 2^6).
+    Masses over 2^2039 apart cannot have both: the lighter one rounds.
+    """
+    low, high = math.frexp(min(m1, m2))[1], math.frexp(max(m1, m2))[1]
+    shift = min(-low if low < -1021 else 0, 1018 - high)
+    return math.ldexp(m1, shift) * v1, math.ldexp(m2, shift) * v2
 
 
 @dataclass(frozen=True)
@@ -104,8 +120,8 @@ class TwoBodyEquilibrium:
         check_mass(self.m2)
         check_interval_point(self.alpha, radius)
         check_interval_point(self.partner_radius, radius)
-        s1 = self.m1 * _line_coordinate(self.alpha, radius)
-        s2 = self.m2 * _line_coordinate(self.partner_radius, radius)
+        v1, v2 = (_line_coordinate(u, radius) for u in (self.alpha, self.partner_radius))
+        s1, s2 = _lever_sides(self.m1, v1, self.m2, v2)
         if abs(s1 - s2) > EQUALITY_RTOL * max(abs(s1), abs(s2)):
             raise ValidationError(
                 f"radii ({self.alpha!r}, {self.partner_radius!r}) do not "
@@ -148,12 +164,7 @@ def classify_balance(m1, m2, alpha, radius) -> BalanceVerdict:
         relation = "less"
     else:
         relation = "greater"
-    if m2 > m1:
-        expected = "less"
-    elif m2 < m1:
-        expected = "greater"
-    else:
-        expected = "equal"
+    expected = "less" if m2 > m1 else "greater" if m2 < m1 else "equal"
     return BalanceVerdict(
         partner_radius=r,
         relation=relation,

@@ -23,10 +23,10 @@ sheet's and the disk's on that section.  Distances and geodesics of
 the disk are computed in the disk, from R^2 - |w|^2 formed exactly,
 never through the lift: near the rim the lift rounds by 1e-16 z1 z2.
 Sheet distances and the karcher module's log, exp and barycenter steps
-share one kernel: points as rapidity asinh(r/R) and xy heading
-(_polar), and the boost of one point to the pole from these
-(_pole_log, _step), never from differences of coordinates of size z.
-All functions are pure; nothing in this module holds mutable state.
+share one kernel, which never differences coordinates of size z: points
+as rapidity asinh(r/R) and xy heading (_polar), the boost of one point
+to the pole (_pole_log), and the boost back (_step), which is _pole_log
+seen from the opposite frame.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -90,25 +90,18 @@ def check_hpoint(p, radius: float) -> HPoint:
 
 
 def _on_sheet(x, y, z, radius: float) -> bool:
-    """The quadric test of check_hpoint, on coordinates."""
-    rr = radius * radius
-    scale = rr + x * x + y * y + z * z
-    residual = abs(x * x + y * y - z * z + rr)
-    if scale == math.inf:
+    """The quadric test of check_hpoint; overflowing squares are rescaled first."""
+    if radius * radius + x * x + y * y + z * z == math.inf:
         big = max(abs(x), abs(y), abs(z))
-        u, v, w, r = x / big, y / big, z / big, radius / big
-        scale = r * r + u * u + v * v + w * w
-        residual = abs(u * u + v * v - w * w + r * r)
-    return z > 0.0 and residual <= TOL_CONSTRUCT * scale
+        x, y, z, radius = x / big, y / big, z / big, radius / big
+    return _on_sheet_column(((x, y, z),), radius)
 
 
 def _on_sheet_column(points, radius: float) -> bool:
-    """Whether every point passes _on_sheet without its overflow rescale.
+    """The quadric test of a whole column, its one spelling, without rescale.
 
-    The quadric test of _on_sheet, written once for a whole column.
-    Non-numbers, NaN and squares that overflow make it False; the caller
-    then walks the points with check_hpoint, which raises the first
-    error or accepts a point whose squares overflow.
+    Non-numbers, NaN and overflowing squares make it False; the caller then
+    walks the points with check_hpoint for the first error or a rescale.
     """
     rr = radius * radius
     try:
@@ -303,17 +296,21 @@ def _pole_log(a, ca, sa, ex, ey, b, sb, ux, uy) -> tuple[float, float, float]:
 
 
 def _step(a: float, ex: float, ey: float, de: float, dp: float):
-    """Rapidity and heading reached by the pole vector (de, dp) R, boosted back."""
+    """Rapidity and heading reached by the pole vector (de, dp) R, boosted back.
+
+    The pole point exp(tau u) seen by _pole_log from the opposite frame
+    (a, -e), both headings read in the basis (e, e turned by a right angle).
+    """
     tau = math.hypot(de, dp)
     if tau == 0.0:
         return a, ex, ey
-    st = math.sinh(tau)
-    along = math.cosh(a) * st * (de / tau) + math.sinh(a) * math.cosh(tau)
-    across = st * (dp / tau)
+    t, along, across = _pole_log(
+        a, math.cosh(a), math.sinh(a), -1.0, 0.0, tau, math.sinh(tau), de / tau, dp / tau
+    )
     r = math.hypot(along, across)
     if r == 0.0:
         return 0.0, 1.0, 0.0
-    return math.asinh(r), (along * ex - across * ey) / r, (along * ey + across * ex) / r
+    return t, -(along * ex - across * ey) / r, -(along * ey + across * ex) / r
 
 
 def disk_distance(w1, w2, radius: float) -> float:

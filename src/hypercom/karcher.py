@@ -2,11 +2,12 @@
 
 Independent cross-check for the disk averaging formula: the barycenter
 here is the minimizer of sum m_k d(x, x_k)^2 (Karcher, CPAM 1977),
-found by Newton's method.  Each iteration applies the Lorentz boost
-that sends the iterate to the pole (0, 0, R), where the log of particle
-k is the planar vector d_k u_k and the tangent Hessian of half the
-mass-weighted mean of d_k^2 is the mean of
-m_k [u_k u_k^T + (d_k/R) coth(d_k/R) (I - u_k u_k^T)].  Both of its
+found by Newton's method in the weights m_k / M, M the total mass,
+which keep m t^2 finite near the double range.  Each iteration
+applies the Lorentz boost that sends the iterate to the pole (0, 0, R),
+where the log of particle k is the planar vector d_k u_k and the tangent
+Hessian of half the weighted mean of d_k^2 is the weighted mean of
+u_k u_k^T + (d_k/R) coth(d_k/R) (I - u_k u_k^T).  Both of its
 eigenvalues are at least 1, so the objective is strictly geodesically
 convex, the minimizer is unique and the Newton direction points
 downhill.  The step is taken by the exponential map at the pole and
@@ -15,15 +16,16 @@ the objective rises, the iteration returns to the point it left and
 takes the damped gradient step instead, of length 1 / mean of
 (d_k/R) coth(d_k/R), the local smoothness bound.
 
-The boost is the geometry module's sheet kernel, evaluated from each
-point's rapidity asinh(r/R) and heading in the xy plane, never from
-differences of ambient coordinates, so what rounding costs grows with
-a particle's distance from the iterate rather than from the pole:
-pairs 40R apart on a diameter converge in one step.  log_map and
-exp_map are thin wrappers over it.  Where doubles fix the particles
-too coarsely for the tolerance (far from the pole, off the axes), the
-gradient stops decreasing; the iteration then raises ConvergenceError
-after STALL_STEPS evaluations instead of running to max_iter.
+The boost is the geometry module's sheet kernel _pole_log, and the
+step back is _step, the same kernel seen from the opposite frame; both
+read each point's rapidity asinh(r/R) and xy heading, never differences
+of ambient coordinates, so what rounding costs grows with a particle's
+distance from the iterate rather than from the pole: pairs 40R apart on
+a diameter converge in one step.  log_map and exp_map are thin wrappers
+over them.  Where doubles fix the particles too coarsely for the
+tolerance (far from the pole, off the axes), the gradient stops
+decreasing; the iteration then raises ConvergenceError after
+STALL_STEPS evaluations instead of running to max_iter.
 
 For two particles the minimizer lies on their geodesic and satisfies
 the lever rule m1 d(x, x1) = m2 d(x, x2), so it coincides with
@@ -41,6 +43,7 @@ from .barycenter import HYPERBOLOID, MassedSystem, _require_model
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .geometry import (
     HPoint,
+    _on_sheet,
     _pole_log,
     _polar,
     _sheet_point,
@@ -171,14 +174,6 @@ def _ratio_coth(t: float) -> float:
     return t / math.tanh(t)
 
 
-def _check_iterate(point: HPoint, radius: float) -> None:
-    # The solver's own iterate; losing it is a numerical failure, not bad input.
-    try:
-        check_hpoint(point, radius)
-    except ValidationError as exc:
-        raise NumericalError(f"barycenter iterate left the sheet: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class KarcherResult:
     """Barycenter, the number of steps taken to it and its gradient norm."""
@@ -188,16 +183,16 @@ class KarcherResult:
     gradient_norm: float
 
 
-def _minkowski_start(particles, total: float) -> tuple[float, float, float]:
-    """Polar form of the mass-weighted Minkowski mean, rescaled onto the sheet.
+def _minkowski_start(particles) -> tuple[float, float, float]:
+    """Polar form of the weighted Minkowski mean, rescaled onto the sheet.
 
     The rescale needs z - |xy| of the mean vector; summed from the
     positive terms exp(-b) + 2 sinh(b) sin^2(gap/2) of each particle
     (rapidity b, heading gap from the mean's heading), it does not
     cancel to zero for points far from the pole.  Units of R.
     """
-    mx = math.fsum(m * sb * ux for m, _, sb, ux, _ in particles) / total
-    my = math.fsum(m * sb * uy for m, _, sb, _, uy in particles) / total
+    mx = math.fsum(m * sb * ux for m, _, sb, ux, _ in particles)
+    my = math.fsum(m * sb * uy for m, _, sb, _, uy in particles)
     r = math.hypot(mx, my)
     if r == 0.0:
         return 0.0, 1.0, 0.0
@@ -205,26 +200,24 @@ def _minkowski_start(particles, total: float) -> tuple[float, float, float]:
     below = math.fsum(
         m * (math.exp(-b) + 0.5 * sb * ((ux - vx) ** 2 + (uy - vy) ** 2))
         for m, b, sb, ux, uy in particles
-    ) / total
-    above = math.fsum(m * math.cosh(b) for m, b, _, _, _ in particles) / total + r
+    )
+    above = math.fsum(m * math.cosh(b) for m, b, _, _, _ in particles) + r
     return math.asinh(r / math.sqrt(below * above)), vx, vy
 
 
-def _derivatives(particles, total: float, a: float, ex: float, ey: float):
+def _derivatives(particles, a: float, ex: float, ey: float):
     """Objective, gradient, Hessian and smoothness at the iterate (a, ex, ey).
 
-    Mass-weighted means over the particles seen from the iterate by
-    geometry._pole_log, in units of R.
+    Means in the weights m / M over the particles seen from the iterate
+    by geometry._pole_log, in units of R.
     """
     ca, sa = math.cosh(a), math.sinh(a)
     rows = []
     for m, b, sb, ux, uy in particles:
         t, along, across = _pole_log(a, ca, sa, ex, ey, b, sb, ux, uy)
         norm = math.hypot(along, across)
-        if norm == 0.0:
-            rows.append((0.0, 0.0, 0.0, m, 0.0, m, m))
-            continue
-        vx, vy = along / norm, across / norm
+        # A particle at the iterate (t = 0) has any heading; take e.
+        vx, vy = (along / norm, across / norm) if norm else (1.0, 0.0)
         f = _ratio_coth(t)
         rows.append((
             m * t * t,
@@ -235,7 +228,7 @@ def _derivatives(particles, total: float, a: float, ex: float, ey: float):
             m * (vy * vy + f * vx * vx),
             m * f,
         ))
-    return [math.fsum(column) / total for column in zip(*rows)]
+    return [math.fsum(column) for column in zip(*rows)]
 
 
 def karcher_solve(
@@ -269,28 +262,27 @@ def karcher_solve(
     points = system.position_column
     if len(points) == 1:
         return KarcherResult(points[0], 0, 0.0)
-    # Masses in units of a power of two near the total: exact, and the
-    # products m t^2 of masses near the double range stay finite.
-    shift = -math.frexp(system.total_mass)[1]
-    total = math.ldexp(system.total_mass, shift)
+    # Weights m / M: masses scaled by a power of two give the same bits.
     particles = []
     for m, p in zip(system.mass_column, points):
         b, ux, uy = _polar(p, radius)
-        particles.append((math.ldexp(m, shift), b, math.sinh(b), ux, uy))
+        particles.append((m / system.total_mass, b, math.sinh(b), ux, uy))
     if initial is not None:
         a, ex, ey = _polar(check_hpoint(initial, radius), radius)
     else:
-        a, ex, ey = _minkowski_start(particles, total)
+        a, ex, ey = _minkowski_start(particles)
     best_norm, best_point, best_objective, since_best = math.inf, None, math.inf, 0
     # Objective and damped step at the point the last Newton step left.
     left = None
     steps = 0
     while True:
         point = _sheet_point(a, ex, ey, radius)
-        _check_iterate(point, radius)
-        objective, ge, gp, hee, hep, hpp, smoothness = _derivatives(
-            particles, total, a, ex, ey
-        )
+        if not _on_sheet(*point, radius):  # the solver's own failure, not bad input
+            raise NumericalError(
+                f"barycenter iterate left the sheet: point {tuple(point)!r} "
+                f"is not on the upper sheet for radius {radius!r}"
+            )
+        objective, ge, gp, hee, hep, hpp, smoothness = _derivatives(particles, a, ex, ey)
         gradient_norm = radius * math.hypot(ge, gp)
         if not math.isfinite(gradient_norm):
             raise NumericalError(

@@ -318,6 +318,24 @@ def log_map_highprec(p, q, radius):
         return tuple(float(scale * (b - c * a)) for a, b in zip(p, q))
 
 
+def step_highprec(a, ex, ey, de, dp, dps=60):
+    """Sheet point (x, y, z) / R that geometry._step reaches, in high precision.
+
+    The pole point exp(tau u) of the pole vector (de, dp), u in the basis
+    (e, e turned by a right angle), boosted along e by rapidity +a as a
+    Lorentz matrix, not through the rapidity-and-heading kernel.  The
+    heading e is normalized first.  Returns three floats.
+    """
+    with mp.workdps(dps):
+        a, ex, ey, de, dp = (mp.mpf(c) for c in (a, ex, ey, de, dp))
+        norm = mp.hypot(ex, ey)
+        ex, ey = ex / norm, ey / norm
+        tau = mp.hypot(de, dp)
+        along, across, z = de * mp.sinh(tau) / tau, dp * mp.sinh(tau) / tau, mp.cosh(tau)
+        along, z = mp.cosh(a) * along + mp.sinh(a) * z, mp.sinh(a) * along + mp.cosh(a) * z
+        return float(along * ex - across * ey), float(along * ey + across * ex), float(z)
+
+
 def com_hyperboloid_reference(masses, points, radius):
     """Sheet center with every check made one particle at a time.
 

@@ -107,6 +107,15 @@ def test_log_ratio_inv_examples():
         log_ratio_inv(1.0 + 1.6j, 1.0)
 
 
+@pytest.mark.parametrize(
+    "v", [complex(math.nan, 0.0), complex(-math.inf, 0.3), complex(math.inf, 0.0)]
+)
+def test_log_ratio_inv_rejects_coordinates_that_are_not_finite(v):
+    # nan+0j returned nan+nanj, and -inf+0.3j the rim point -1+0j.
+    with pytest.raises(ValidationError, match="not a finite point"):
+        log_ratio_inv(v, 1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(w=disk_points)
 def test_log_ratio_roundtrip(w):

@@ -61,6 +61,41 @@ def test_balance_radius_matches_bisection_oracle():
             assert r > alpha
 
 
+@pytest.mark.parametrize(
+    "m1, m2, alpha, radius",
+    [
+        (1e308, 1e308, 0.9, 1.0),  # m1 v overflowed: "rounds onto the disk boundary"
+        (1.5e308, 1e308, 0.3, 1.0),  # 2 m2 overflowed: r read 0
+        (5e-324, 5e-324, 0.5, 1.0),  # subnormal sides: 0.462
+        (1e-320, 3e-320, 0.4, 1.0),  # off by 4e-5, certified
+        (3e-320, 1e-320, 0.2, 1.0),  # off by 5e-6, certified
+    ],
+)
+def test_balance_radius_over_the_whole_mass_range(m1, m2, alpha, radius):
+    # The lever sides are formed on masses scaled by one power of two.
+    r = balance_radius(m1, m2, alpha, radius)
+    assert r == pytest.approx(balance_radius_bisection(m1, m2, alpha, radius), rel=1e-12)
+    verdict = classify_balance(m1, m2, alpha, radius)
+    assert verdict.partner_radius == r and verdict.matches_mass_order
+    TwoBodyEquilibrium(m1, m2, alpha, r, radius)
+
+
+def test_balance_radius_where_a_side_underflows():
+    # Equal masses balance at alpha itself.  Here m v underflowed to 0,
+    # so r read 0 and the certificate 0 = 0 held.
+    assert balance_radius(1e-310, 1e-310, 0.3, 1e100) == pytest.approx(0.3, rel=1e-12)
+    # A balancing radius of about 3e-632 R underflows to 0: no certificate.
+    with pytest.raises(NumericalError, match="cannot reproduce"):
+        balance_radius(5e-324, 1e308, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("mass, alpha, partner", [(1e308, 0.9, 0.5), (5e-324, 0.5, 0.4)])
+def test_two_body_equilibrium_rejects_extreme_masses_off_balance(mass, alpha, partner):
+    # Both were accepted: the sides overflowed to inf, or rounded to one subnormal.
+    with pytest.raises(ValidationError, match="lever balance"):
+        TwoBodyEquilibrium(mass, mass, alpha, partner, 1.0)
+
+
 def test_balance_radius_boundary_failure():
     # Mass ratio 1000 at alpha = 0.9 pushes r into the rejected rim band.
     with pytest.raises(NumericalError):

@@ -130,8 +130,8 @@ def test_exp_map_endpoint_past_the_double_range_is_an_input_error():
     with pytest.raises(ValidationError, match="no finite sheet point"):
         exp_map(TangentVector(base=POLE, v=(800.0, 0.0, 0.0)), 1.0)
     # exp of log out to 40R: some of these raised OverflowError.  The
-    # backward step of geometry._step cancels far out, so the round trip
-    # is only required to return a sheet point here.
+    # across component of the ambient tangent vector cancels far out, so
+    # the round trip is only required to return a sheet point here.
     for p, q, radius in _far_pairs(44):
         check_hpoint(exp_map(log_map(p, q, radius), radius), radius)
 
@@ -268,7 +268,7 @@ def test_karcher_settings_validation():
 def test_karcher_masses_near_the_double_range():
     # Three masses of 5e307 (total 1.5e308, finite) overflowed m t^2 and
     # raised NumericalError ("iterate left the sheet", a nan point).
-    # The solver now works in masses scaled by a power of two, exactly.
+    # The solver now averages in the weights m / M, which stay at most 1.
     from hypercom import karcher_solve
 
     points = [
@@ -281,3 +281,18 @@ def test_karcher_masses_near_the_double_range():
     assert heavy.point == pytest.approx(unit.point, rel=4e-16, abs=0.0)
     gradient = karcher_gradient_norm_highprec([5e307] * 3, points, heavy.point, 1.0)
     assert gradient <= 1e-15
+
+
+def test_karcher_masses_scaled_by_a_power_of_two_give_the_same_bits():
+    # The solver averages in weights m / M, which scaling every mass by a
+    # power of two leaves unchanged; these runs differed by 1 ulp in x.
+    from hypercom import karcher_solve
+
+    points = [
+        (0.0, 0.0, 1.0),
+        (math.sinh(2.0), 0.0, math.cosh(2.0)),
+        (0.0, math.sinh(3.0), math.cosh(3.0)),
+    ]
+    unit = karcher_solve(hyperboloid_system([1.0] * 3, points, 1.0))
+    for mass in (5e307, 2.0**-1000, 5e-324):
+        assert karcher_solve(hyperboloid_system([mass] * 3, points, 1.0)) == unit

@@ -47,6 +47,7 @@ from hypercom import (
     rotation_sweep,
     unproject,
 )
+from hypercom.geometry import _sheet_point, _step
 
 from oracles import (
     com_disk_reference,
@@ -59,6 +60,7 @@ from oracles import (
     lever_residual_highprec,
     rotation_sweep_reference,
     sheet_distance_highprec,
+    step_highprec,
     system_reference,
 )
 
@@ -221,6 +223,25 @@ def test_karcher_far_pairs_stop_early():
     best = error.last_iterate
     gradient = karcher_gradient_norm_highprec([1.0, 2.0], points, best, 1.0)
     assert gradient <= 1e-10 * best.z
+
+
+@pytest.mark.parametrize("rapidity", [10.0, 20.0, 30.0])
+def test_step_back_toward_the_pole_against_mpmath(rapidity):
+    # Steps of length about a from the point a R out, back toward the
+    # pole.  A sum cosh(a) sinh(tau) (de / tau) + sinh(a) cosh(tau)
+    # cancels terms of size e^(a + tau): it missed by 3.8e-8 z at a = 10
+    # and 8.9e-4 z at a = 20 on this pool.  _step, _pole_log seen from the
+    # opposite frame, misses by 1.2e-14 z at a = 30.
+    rng = np.random.default_rng(51)
+    for _ in range(300):
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        ex, ey = math.cos(heading), math.sin(heading)
+        tau = rapidity * rng.uniform(0.9, 1.1)
+        turn = math.pi + rng.uniform(-1e-3, 1e-3)
+        de, dp = tau * math.cos(turn), tau * math.sin(turn)
+        want = step_highprec(rapidity, ex, ey, de, dp)
+        got = _sheet_point(*_step(rapidity, ex, ey, de, dp), 1.0)
+        assert math.dist(got, want) <= 1e-12 * want[2]
 
 
 def _near_rim(rng, radius):
