@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import math
 import re
 import sys
 
@@ -40,6 +39,7 @@ from .equilibria import (
     SWEEP_ANGLES,
     classify_balance,
     rotation_sweep,
+    uniform_angles,
 )
 from .errors import NumericalError, ValidationError
 from .files import csv_text, format_float, load_system, report_text
@@ -148,8 +148,7 @@ def _cmd_equilibrium(args) -> int:
     system = disk_system(
         [args.m1, args.m2], [args.alpha, -verdict.partner_radius], radius
     )
-    angles = [2.0 * math.pi * k / args.angles for k in range(args.angles)]
-    sweep = rotation_sweep(system, angles)
+    sweep = rotation_sweep(system, uniform_angles(args.angles))
     rows = [
         (s.angle, s.com.center.real, s.com.center.imag, s.defect)
         for s in sweep.samples

@@ -11,7 +11,14 @@ Rigidly rotating a configuration and recomputing its center probes
 whether the averaging formula commutes with rotations.  It does for
 mass-symmetric configurations (the center sits at the origin for every
 angle) but not in general; rotation_sweep records the defect curve
-instead of asserting it away.  The same spirit applies to the
+instead of asserting it away.  It does commute with the half turn
+w -> -w, exactly and in doubles: v is odd in w, and cmath.atanh, the
+exact sums and cmath.tanh are odd bit for bit.  So on an even uniform
+grid (uniform_angles of an even count, the default 64 angles and every
+even `equilibrium --angles`) rotation_sweep evaluates only the first
+half; sample k + N/2 is sample k turned by pi, its center and mean
+negated and its defect the same float.  Any other angle list is
+evaluated angle by angle.  The same spirit applies to the
 three-body collinear and equilateral constructions and to the
 mirror-symmetric pair, whose center provably stays on the imaginary
 axis (the geodesic fixed by x -> -x).
@@ -93,15 +100,23 @@ def balance_radius(m1: float, m2: float, alpha: float, radius: float) -> float:
 
 
 def _lever_sides(m1: float, v1: float, m2: float, v2: float) -> tuple[float, float]:
-    """m1 v1 and m2 v2, on masses scaled exactly by one common power of two.
+    """m1 v1 and m2 v2, both scaled exactly by one power of two.
 
-    Only masses at either end of the doubles move: a subnormal lighter one
-    up into [0.5, 1), both down to keep the heavier below 2^1018 (|v| < 2^6).
-    Masses over 2^2039 apart cannot have both: the lighter one rounds.
+    Each side is the product of the frexp fractions of m and v, rounded
+    once, times a power of two, so no factor overflows or underflows on
+    its own.  The shift is taken from the products' exponents and moves
+    only those at either end of the doubles: a smaller nonzero side
+    below 2^-1020 up into [0.25, 1), both down to keep the larger one
+    below 2^1022.  Sides over 2^2042 apart cannot have both.
     """
-    low, high = math.frexp(min(m1, m2))[1], math.frexp(max(m1, m2))[1]
-    shift = min(-low if low < -1021 else 0, 1018 - high)
-    return math.ldexp(m1, shift) * v1, math.ldexp(m2, shift) * v2
+    sides = []
+    for m, v in ((m1, v1), (m2, v2)):
+        (fm, em), (fv, ev) = math.frexp(m), math.frexp(v)
+        sides.append((fm * fv, em + ev))
+    exponents = [e for f, e in sides if f]
+    low, high = min(exponents, default=0), max(exponents, default=0)
+    shift = min(-low if low < -1020 else 0, 1022 - high)
+    return tuple(math.ldexp(f, e + shift) for f, e in sides)
 
 
 @dataclass(frozen=True)
@@ -202,26 +217,38 @@ class RotationSweep:
     max_center_abs: float
 
 
+def uniform_angles(count: int) -> list[float]:
+    """The uniform grid 2 pi k / count, k = 0, ..., count - 1."""
+    return [2.0 * math.pi * k / count for k in range(count)]
+
+
 def rotation_sweep(system: MassedSystem, angles=None) -> RotationSweep:
     """Recompute the center over rigid rotations of a disk system.
 
     A rotation about the origin keeps every point of a validated system
     inside the disk, so the rotated points go straight to the center
-    kernel without building and revalidating a system per angle.
+    kernel without building and revalidating a system per angle.  On an
+    even uniform grid the second half is the first turned by pi (see the
+    module docstring); the default is uniform_angles(SWEEP_ANGLES).
     """
-    if angles is None:
-        angles = [2.0 * math.pi * k / SWEEP_ANGLES for k in range(SWEEP_ANGLES)]
+    angles = uniform_angles(SWEEP_ANGLES) if angles is None else list(angles)
+    even_grid = len(angles) % 2 == 0 and angles == uniform_angles(len(angles))
+    evaluated = len(angles) // 2 if even_grid else len(angles)
     base = com_disk(system)
     masses, total = system.mass_column, base.total_mass
     positions = system.position_column
     radius = float(system.radius)
     samples = []
-    for angle in angles:
+    for k, angle in enumerate(angles):
         if not math.isfinite(angle):
             raise ValidationError(f"rotation angle must be finite, got {angle!r}")
-        rot = cmath.exp(1j * angle)
-        mean, center = _center(DISK, masses, total, [w * rot for w in positions], radius)
-        defect = abs(center - base.center * rot)
+        if k < evaluated:
+            rot = cmath.exp(1j * angle)
+            mean, center = _center(DISK, masses, total, [w * rot for w in positions], radius)
+            defect = abs(center - base.center * rot)
+        else:  # the points of sample k - N/2 turned by exactly -1
+            turned = samples[k - evaluated]
+            mean, center, defect = -turned.com.log_ratio_mean, -turned.com.center, turned.defect
         com = CenterOfMass(center=center, log_ratio_mean=mean, total_mass=total)
         samples.append(RotationSample(angle=angle, com=com, defect=defect))
     if not samples:

@@ -279,19 +279,22 @@ def _pole_log(a, ca, sa, ex, ey, b, sb, ux, uy) -> tuple[float, float, float]:
     """(t, along, across): the point (b, u) seen from (a, e) moved to the pole.
 
     Rapidities and headings as of _polar; ca, sa, sb = cosh a, sinh a,
-    sinh b.  The boost maps (b, u) to (along, across, .) R =
+    sinh b.  The boost maps (b, u) to (4 along, 4 across, .) R =
     (sinh(b - a) - 2 cosh(a) sinh(b) h, sinh(b) sin(gap), .) R in the
     basis (e, e turned by a right angle), h = sin^2(gap/2), at distance
     t R with sinh^2(t/2) = sinh^2((b - a)/2) + sinh(a) sinh(b) h: no
-    difference of ambient coordinates of size z.
+    difference of ambient coordinates of size z.  Callers read only the
+    heading of (along, across); at a quarter of its size it is finite
+    wherever t is, though 2 cosh(a) alone overflows from r/R = 2^1023.
     """
     # sinh(b) h first: it is exactly 0 on a common diameter, where
     # sinh(a) sinh(b) alone can overflow.
-    sbh = sb * 0.25 * ((ux - ex) ** 2 + (uy - ey) ** 2)
+    quarter = sb * 0.25
+    sbh = quarter * ((ux - ex) ** 2 + (uy - ey) ** 2)
     half = math.sinh(0.5 * (b - a))
     t = 2.0 * math.asinh(math.sqrt(half * half + sa * sbh))
-    along = 2.0 * half * math.sqrt(1.0 + half * half) - 2.0 * ca * sbh
-    across = sb * (ex * uy - ey * ux)
+    along = 0.5 * half * math.sqrt(1.0 + half * half) - 0.5 * ca * sbh
+    across = quarter * (ex * uy - ey * ux)
     return t, along, across
 
 

@@ -145,9 +145,10 @@ def log_map(p, q, radius: float) -> TangentVector:
 
     The log d (along, across) / norm at the pole of geometry._pole_log,
     boosted back to p (rapidity a, heading e) as
-    d_e (cosh(a) e, sinh a) + d_p (e turned by a right angle, 0).  Where
-    the kernel's terms pass the double range (distances beyond about
-    710 R, or r/R near 1e308) it raises NumericalError.
+    d_e (cosh(a) e, sinh a) + d_p (e turned by a right angle, 0).  It
+    raises NumericalError for distances beyond about 711 R, where the
+    kernel's sinh^2(t/2) passes the double range, and where a component
+    of the vector itself does.
     """
     radius = check_radius(radius)
     p = check_hpoint(p, radius)
@@ -157,13 +158,14 @@ def log_map(p, q, radius: float) -> TangentVector:
     ca, sa = math.cosh(a), math.sinh(a)
     t, along, across = _pole_log(a, ca, sa, ex, ey, b, math.sinh(b), ux, uy)
     norm = math.hypot(along, across)
-    if not (t < math.inf and norm < math.inf):
-        raise NumericalError("the log map of these sheet points passes the double range")
     if norm == 0.0:
         return TangentVector(base=p, v=(0.0, 0.0, 0.0))
     de = radius * t * (along / norm)
     dp = radius * t * (across / norm)
-    return TangentVector(base=p, v=(de * ca * ex - dp * ey, de * ca * ey + dp * ex, de * sa))
+    v = (de * ca * ex - dp * ey, de * ca * ey + dp * ex, de * sa)
+    if not (t < math.inf and all(map(math.isfinite, v))):
+        raise NumericalError("the log map of these sheet points passes the double range")
+    return TangentVector(base=p, v=v)
 
 
 def _ratio_coth(t: float) -> float:

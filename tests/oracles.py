@@ -73,17 +73,27 @@ def com_line_bisection(masses, positions, radius, dps=30):
 
 
 def balance_radius_bisection(m1, m2, alpha, radius, dps=30):
-    """Partner radius from bisection on m1 s(alpha) - m2 s(r) = 0."""
+    """Partner radius from bisection on m1 s(alpha) - m2 s(r) = 0.
+
+    s is read as 2 R atanh(u / R), whose digits do not depend on how far
+    u lies inside R.  The radius can lie far below R (u / R ~ 1e-100 at
+    R = 1e100, or m1 << m2), so the precision and the number of halvings
+    of [0, R) are sized to the smaller of alpha / R and (m1 / m2) alpha / R,
+    which bounds r / R from below up to a factor near 1.
+    """
     with mp.workdps(dps):
+        scale = min(1, mp.mpf(m1) / mp.mpf(m2)) * mp.mpf(alpha) / mp.mpf(radius)
+        digits = dps + max(0, int(-mp.log10(scale)) + 1)
+    with mp.workdps(digits):
         r = mp.mpf(radius)
-        target = mp.mpf(m1) * mp.log((r + mp.mpf(alpha)) / (r - mp.mpf(alpha)))
+        target = mp.mpf(m1) * mp.atanh(mp.mpf(alpha) / r)
 
         def excess(x):
-            return mp.mpf(m2) * mp.log((r + x) / (r - x)) - target
+            return mp.mpf(m2) * mp.atanh(x / r) - target
 
         lo = mp.mpf(0)
         hi = r * (1 - mp.mpf("1e-25"))
-        for _ in range(200):
+        for _ in range(int(digits * 3.33) + 10):
             mid = (lo + hi) / 2
             if excess(mid) < 0:
                 lo = mid

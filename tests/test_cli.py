@@ -214,6 +214,36 @@ def test_equilibrium_csv_trace():
     assert float(first[3]) == 0.0  # no defect at the starting angle
 
 
+def _sweep_csv(angles):
+    done = run_cli(
+        "equilibrium",
+        "--m1", "1", "--m2", "2", "--alpha", "0.5", "--radius", "1",
+        "--angles", str(angles), "--format", "csv",
+    )
+    assert done.returncode == 0
+    return [[float(v) for v in line.split(",")] for line in done.stdout.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("angles", [8, 64])
+def test_equilibrium_even_sweep_second_half_is_the_first_turned_by_pi(angles):
+    rows = _sweep_csv(angles)
+    assert len(rows) == angles
+    for first, second in zip(rows, rows[angles // 2:]):
+        # repr tells -0.0 from 0.0 apart.
+        assert [repr(-v) for v in first[1:3]] == [repr(v) for v in second[1:3]]
+        assert second[3] == first[3]
+
+
+def test_equilibrium_odd_sweep_is_evaluated_angle_by_angle():
+    from hypercom import balance_radius, disk_system, rotation_sweep, uniform_angles
+
+    system = disk_system([1.0, 2.0], [0.5, -balance_radius(1.0, 2.0, 0.5, 1.0)], 1.0)
+    sweep = rotation_sweep(system, uniform_angles(7))
+    assert _sweep_csv(7) == [
+        [s.angle, s.com.center.real, s.com.center.imag, s.defect] for s in sweep.samples
+    ]
+
+
 def test_equilibrium_equal_masses():
     done = run_cli(
         "equilibrium", "--m1", "1", "--m2", "1", "--alpha", "0.5", "--radius", "1"

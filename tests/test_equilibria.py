@@ -81,9 +81,11 @@ def test_balance_radius_over_the_whole_mass_range(m1, m2, alpha, radius):
 
 
 def test_balance_radius_where_a_side_underflows():
-    # Equal masses balance at alpha itself.  Here m v underflowed to 0,
-    # so r read 0 and the certificate 0 = 0 held.
+    # The partners sit about 1e-101 R from the pole.  Here m v underflowed
+    # to 0, so r read 0 and the certificate 0 = 0 held.
     assert balance_radius(1e-310, 1e-310, 0.3, 1e100) == pytest.approx(0.3, rel=1e-12)
+    expected = balance_radius_bisection(1e-310, 3e-310, 0.3, 1e100)
+    assert balance_radius(1e-310, 3e-310, 0.3, 1e100) == pytest.approx(expected, rel=1e-12)
     # A balancing radius of about 3e-632 R underflows to 0: no certificate.
     with pytest.raises(NumericalError, match="cannot reproduce"):
         balance_radius(5e-324, 1e308, 0.5, 1.0)
@@ -94,6 +96,20 @@ def test_two_body_equilibrium_rejects_extreme_masses_off_balance(mass, alpha, pa
     # Both were accepted: the sides overflowed to inf, or rounded to one subnormal.
     with pytest.raises(ValidationError, match="lever balance"):
         TwoBodyEquilibrium(mass, mass, alpha, partner, 1.0)
+
+
+@pytest.mark.parametrize(
+    "mass, alpha, partner, radius",
+    [(1e-300, 0.3, 0.9, 1e100), (1e-10, 1e-320, 2e-320, 1.0)],
+)
+def test_two_body_equilibrium_rejects_sides_that_underflow(mass, alpha, partner, radius):
+    # Ordinary masses, but v = 2 atanh(u / R) is tiny, so both products
+    # m v underflowed to 0 and any partner was accepted.
+    with pytest.raises(ValidationError, match="lever balance"):
+        TwoBodyEquilibrium(mass, mass, alpha, partner, radius)
+    r = balance_radius(mass, mass, alpha, radius)
+    assert r == alpha
+    TwoBodyEquilibrium(mass, mass, alpha, r, radius)
 
 
 def test_balance_radius_boundary_failure():

@@ -10,6 +10,7 @@ from hypercom import (
     ConvergenceError,
     HPoint,
     KarcherSettings,
+    NumericalError,
     TangentVector,
     ValidationError,
     com_hyperboloid,
@@ -123,6 +124,35 @@ def test_log_map_against_mpmath(reach, rtol):
         got = log_map(p, q, radius).v
         err = math.sqrt(sum((a - b) ** 2 for a, b in zip(got, want)))
         assert err <= rtol * math.sqrt(sum(b * b for b in want))
+
+
+def test_log_map_near_the_top_of_the_double_range_against_mpmath():
+    # r / R = 1.79e308, 710.5 R from the pole: 2 cosh(a) overflowed, and
+    # inf * 0 read the along term as nan (NumericalError), though the
+    # vector's components are about 1.3e211.  The second pair is 710.6 R
+    # apart, where sinh of the distance passes the double range too.
+    # Worst error 1.0e-13: a = 710.47 carries an ulp of 1.1e-13, which
+    # cosh(a) keeps as a relative error.
+    radius, far = 1e-100, 1.79e208
+    near = radius * math.sinh(0.1)
+    pairs = [
+        ((far, 0.0, far), (0.0, 0.0, radius)),
+        (
+            (near * math.cos(2.0), near * math.sin(2.0), radius * math.cosh(0.1)),
+            (-far * math.cos(2.0), -far * math.sin(2.0), far),
+        ),
+        ((1.7e208, 3e207, math.hypot(1.7e208, 3e207)), (1e-100, 2e-100, math.sqrt(6.0) * 1e-100)),
+    ]
+    for p, q in pairs:
+        want = log_map_highprec(p, q, radius)
+        assert math.dist(log_map(p, q, radius).v, want) <= 2e-13 * math.hypot(*want)
+
+
+def test_log_map_whose_vector_passes_the_double_range_fails_numerically():
+    # 707.6 R out, the vector to the pole has components near 7e309; it
+    # read (-inf, 0, -inf).
+    with pytest.raises(NumericalError, match="double range"):
+        log_map((1e307, 0.0, 1e307), POLE, 1.0)
 
 
 def test_exp_map_endpoint_past_the_double_range_is_an_input_error():
