@@ -20,10 +20,13 @@ so they hold for any representable sheet point, not only for those
 whose projection clears the disk's rim band.  The band |b| < pi/2 has
 its own rim: a mean b that rounds to +-pi/2 names no point.
 
-One kernel, _center, serves the line, the disk and the sheet: it reads
+One kernel, _centers, serves the line, the disk and the sheet: it reads
 v from each model's own coordinates, forms the mean once with exact
-sums and maps it back into the same model.  The public centers, the
-rotation sweep, the Eulerian triple and the CLI reports all call it.
+sums and maps it back into the same model.  It takes several columns
+that share masses, total and radius and reads them in one pass, so a
+rotation sweep evaluates all its angles in one call; _center is the
+one-column case.  The public centers, the rotation sweep, the Eulerian
+triple and the CLI reports all call it.
 Its particles are checked in one place, by MassedSystem: the system
 builders, com_hyperboloid and the triples build one, and the kernel
 trusts what it reads.
@@ -39,6 +42,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 from .errors import NumericalError, ValidationError
 from .geometry import (
@@ -49,6 +53,8 @@ from .geometry import (
     check_radius,
     disk_distance,
     geodesic_between,
+    _asinh_ratio,
+    _cosh_sinh,
     _disk_halves,
     _disk_point,
     _inside,
@@ -184,8 +190,7 @@ def _total_mass(masses) -> float:
         ) from None
 
 
-@dataclass(frozen=True)
-class CenterOfMass:
+class CenterOfMass(NamedTuple):
     """Center point plus the averaged coordinate it came from."""
 
     center: complex
@@ -272,14 +277,24 @@ _OWN_POINT = {LINE: float, DISK: complex, HYPERBOLOID: lambda p: HPoint(*map(flo
 
 
 def _center(model: str, masses, total: float, positions, radius: float):
-    """(mean, center) of validated particles of one model; the one center kernel.
+    """(mean, center) of one column of validated particles: _centers of it."""
+    return _centers(model, masses, total, positions, radius)[0]
 
-    ``total`` is the exact sum of ``masses``.  The line (no imaginary
+
+def _centers(model: str, masses, total: float, positions, radius: float):
+    """[(mean, center)] per column of validated particles; the one center kernel.
+
+    ``positions`` holds columns of len(masses) points back to back (one
+    for a system, one per angle for a rotation sweep), all with the
+    masses ``masses`` and their exact sum ``total``.  One pass reads the
+    coordinates of every column; then each column's mean is formed and
+    mapped back, a single column in place.  The line (no imaginary
     column) and the disk read and map back h = v / 2 by the geometry
     kernels and double the mean into v, exactly; the sheet reads
     v = a + ib from x and y (z is never read).  A sheet mean whose b
     rounds to +-pi/2, or whose point overflows, is a NumericalError.
     """
+    n = len(masses)
     if model == DISK:
         halves = _disk_halves(positions, radius)
         re, im = [h.real for h in halves], [h.imag for h in halves]
@@ -288,25 +303,31 @@ def _center(model: str, masses, total: float, positions, radius: float):
     else:
         re = [math.asinh(x / math.hypot(radius, y)) for x, y, _ in positions]
         im = [math.atan(y / radius) for _, y, _ in positions]
-    if len(positions) == 1:
-        mean, center = complex(re[0], 0.0 if im is None else im[0]), _OWN_POINT[model](positions[0])
-    elif model == HYPERBOLOID:
-        mean = _mean(masses, total, re, im)
-        try:
+        # x / rho passes the double range for points past 710R at R < 1.
+        if not math.isfinite(sum(re)):
+            re = [_asinh_ratio(x, math.hypot(radius, y)) for x, y, _ in positions]
+    whole = n == len(positions)  # one column, summed in place
+    results = []
+    for k in range(0, len(positions), n):
+        column_re, column_im = (re, im) if whole else (re[k:k + n], im and im[k:k + n])
+        if n == 1:
+            mean = complex(column_re[0], 0.0 if column_im is None else column_im[0])
+            center = _OWN_POINT[model](positions[k])
+        elif model == HYPERBOLOID:
+            mean = _mean(masses, total, column_re, column_im)
             y = radius * math.tan(mean.imag)
-            rho = math.hypot(radius, y)
-            center = HPoint(rho * math.sinh(mean.real), y, rho * math.cosh(mean.real))
-        except OverflowError:
-            center = None
-        if center is None or not abs(mean.imag) < 0.5 * math.pi or center.z == math.inf:
-            raise NumericalError("the mean coordinate names no representable sheet point")
-    else:
-        mean = _mean(masses, total, re, im)
-        center = _disk_point(mean, radius)
-        center = center.real if model == LINE else center
-    if model != HYPERBOLOID:
-        mean = complex(2.0 * mean.real, 2.0 * mean.imag)
-    return mean, center
+            z, x = _cosh_sinh(math.hypot(radius, y), mean.real)
+            if not abs(mean.imag) < 0.5 * math.pi or z == math.inf:
+                raise NumericalError("the mean coordinate names no representable sheet point")
+            center = HPoint(x, y, z)
+        else:
+            mean = _mean(masses, total, column_re, column_im)
+            center = _disk_point(mean, radius)
+            center = center.real if model == LINE else center
+        if model != HYPERBOLOID:
+            mean = complex(2.0 * mean.real, 2.0 * mean.imag)
+        results.append((mean, center))
+    return results
 
 
 def _mean(masses, total: float, re, im=None) -> complex:

@@ -17,11 +17,13 @@ exact sums and cmath.tanh are odd bit for bit.  So on an even uniform
 grid (uniform_angles of an even count, the default 64 angles and every
 even `equilibrium --angles`) rotation_sweep evaluates only the first
 half; sample k + N/2 is sample k turned by pi, its center and mean
-negated and its defect the same float.  Any other angle list is
-evaluated angle by angle.  The same spirit applies to the
-three-body collinear and equilateral constructions and to the
-mirror-symmetric pair, whose center provably stays on the imaginary
-axis (the geodesic fixed by x -> -x).
+negated and its defect the same float.  On any other angle list every
+angle is evaluated.  Either way a sweep is one pass over its rotated
+columns: those of all evaluated angles go to the center kernel in one
+call, with the arithmetic and the bits of one call per angle.  The same
+spirit applies to the three-body collinear and equilateral
+constructions and to the mirror-symmetric pair, whose center provably
+stays on the imaginary axis (the geodesic fixed by x -> -x).
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .barycenter import (
     DISK,
     CenterOfMass,
     MassedSystem,
-    _center,
+    _centers,
     _system_center,
     check_mass,
     com_disk,
@@ -195,8 +198,7 @@ def diametric_system(m1, m2, alpha, radius) -> MassedSystem:
     )
 
 
-@dataclass(frozen=True)
-class RotationSample:
+class RotationSample(NamedTuple):
     angle: float
     com: CenterOfMass
     defect: float
@@ -226,33 +228,37 @@ def rotation_sweep(system: MassedSystem, angles=None) -> RotationSweep:
     """Recompute the center over rigid rotations of a disk system.
 
     A rotation about the origin keeps every point of a validated system
-    inside the disk, so the rotated points go straight to the center
-    kernel without building and revalidating a system per angle.  On an
-    even uniform grid the second half is the first turned by pi (see the
-    module docstring); the default is uniform_angles(SWEEP_ANGLES).
+    inside the disk, so the rotated columns of all evaluated angles go
+    to the center kernel in one pass, without building and revalidating
+    a system per angle.  On an even uniform grid only the first half is
+    evaluated and the second is the first turned by pi (see the module
+    docstring); the default is uniform_angles(SWEEP_ANGLES).
     """
-    angles = uniform_angles(SWEEP_ANGLES) if angles is None else list(angles)
-    even_grid = len(angles) % 2 == 0 and angles == uniform_angles(len(angles))
-    evaluated = len(angles) // 2 if even_grid else len(angles)
+    if angles is None:
+        angles = grid = uniform_angles(SWEEP_ANGLES)
+    else:
+        angles = list(angles)
+        grid = uniform_angles(len(angles))
+    evaluated = len(angles) // 2 if len(angles) % 2 == 0 and angles == grid else len(angles)
     base = com_disk(system)
-    masses, total = system.mass_column, base.total_mass
-    positions = system.position_column
-    radius = float(system.radius)
-    samples = []
-    for k, angle in enumerate(angles):
+    for angle in angles:
         if not math.isfinite(angle):
             raise ValidationError(f"rotation angle must be finite, got {angle!r}")
-        if k < evaluated:
-            rot = cmath.exp(1j * angle)
-            mean, center = _center(DISK, masses, total, [w * rot for w in positions], radius)
-            defect = abs(center - base.center * rot)
-        else:  # the points of sample k - N/2 turned by exactly -1
-            turned = samples[k - evaluated]
-            mean, center, defect = -turned.com.log_ratio_mean, -turned.com.center, turned.defect
-        com = CenterOfMass(center=center, log_ratio_mean=mean, total_mass=total)
-        samples.append(RotationSample(angle=angle, com=com, defect=defect))
-    if not samples:
+    if not angles:
         raise ValidationError("a rotation sweep needs at least one angle")
+    total = base.total_mass
+    rots = [cmath.exp(1j * angle) for angle in angles[:evaluated]]
+    rotated = [w * rot for rot in rots for w in system.position_column]
+    centers = _centers(DISK, system.mass_column, total, rotated, float(system.radius))
+    samples = [
+        RotationSample(angle, CenterOfMass(c, mean, total), abs(c - base.center * rot))
+        for angle, rot, (mean, c) in zip(angles, rots, centers)
+    ]
+    # Sample k + N/2 is on the points of sample k turned by exactly -1.
+    samples += [
+        RotationSample(angle, CenterOfMass(-c, -mean, total), defect)
+        for angle, (_, (c, mean, _), defect) in zip(angles[evaluated:], samples)
+    ]
     return RotationSweep(
         base=base,
         samples=tuple(samples),

@@ -255,7 +255,7 @@ def _sheet_distance(p, q, radius: float) -> float:
     """Kernel of hyperboloid_distance for validated points and radius."""
     a, ex, ey = _polar(p, radius)
     b, ux, uy = _polar(q, radius)
-    t, _, _ = _pole_log(a, math.cosh(a), math.sinh(a), ex, ey, b, math.sinh(b), ux, uy)
+    t, _, _ = _pole_log(a, math.cosh(a), math.sinh(a), ex, ey, b, 0.25 * math.sinh(b), ux, uy)
     if not t < math.inf:
         raise NumericalError("the sheet distance of these points passes the double range")
     return radius * t
@@ -271,15 +271,46 @@ def _polar(p, radius: float) -> tuple[float, float, float]:
 
 
 def _sheet_point(a: float, ex: float, ey: float, radius: float) -> HPoint:
-    s = radius * math.sinh(a)
-    return HPoint(s * ex, s * ey, radius * math.cosh(a))
+    z, s = _cosh_sinh(radius, a)
+    return HPoint(s * ex, s * ey, z)
 
 
-def _pole_log(a, ca, sa, ex, ey, b, sb, ux, uy) -> tuple[float, float, float]:
+def _cosh_sinh(scale: float, a: float) -> tuple[float, float]:
+    """(scale cosh a, scale sinh a), finite wherever the products are.
+
+    Past |a| = 710.47 cosh and sinh overflow on their own, although a
+    scale below 1 (R or rho at small R) brings the products back into
+    range; there cosh |a| = sinh |a| = e^|a| / 2 in doubles, formed as
+    (scale e^(|a|/2)) (e^(|a|/2) / 2).  Only that branch does so, so the
+    products keep their bits everywhere else.
+    """
+    try:
+        return scale * math.cosh(a), scale * math.sinh(a)
+    except OverflowError:
+        half = math.exp(0.5 * abs(a))
+        big = scale * half * (0.5 * half)
+        return big, math.copysign(big, a)
+
+
+def _asinh_ratio(x: float, rho: float) -> float:
+    """asinh(x / rho) for rho > 0, also where x / rho passes the double range.
+
+    There |x / rho| > 2^1023 and asinh q = ln 2|q| in doubles, read as
+    ln |x| + ln(2 / rho); rho is at least R >= 1e-100, so 2 / rho is finite.
+    """
+    q = x / rho
+    if abs(q) < math.inf:
+        return math.asinh(q)
+    return math.copysign(math.log(abs(x)) + math.log(2.0 / rho), x)
+
+
+def _pole_log(a, ca, sa, ex, ey, b, qb, ux, uy) -> tuple[float, float, float]:
     """(t, along, across): the point (b, u) seen from (a, e) moved to the pole.
 
-    Rapidities and headings as of _polar; ca, sa, sb = cosh a, sinh a,
-    sinh b.  The boost maps (b, u) to (4 along, 4 across, .) R =
+    Rapidities and headings as of _polar; ca, sa, qb = cosh a, sinh a,
+    sinh(b) / 4, which _cosh_sinh(0.25, b) keeps finite to b = 711.8,
+    past the 710.47 where sinh b overflows.  The boost maps (b, u) to
+    (4 along, 4 across, .) R =
     (sinh(b - a) - 2 cosh(a) sinh(b) h, sinh(b) sin(gap), .) R in the
     basis (e, e turned by a right angle), h = sin^2(gap/2), at distance
     t R with sinh^2(t/2) = sinh^2((b - a)/2) + sinh(a) sinh(b) h: no
@@ -289,12 +320,11 @@ def _pole_log(a, ca, sa, ex, ey, b, sb, ux, uy) -> tuple[float, float, float]:
     """
     # sinh(b) h first: it is exactly 0 on a common diameter, where
     # sinh(a) sinh(b) alone can overflow.
-    quarter = sb * 0.25
-    sbh = quarter * ((ux - ex) ** 2 + (uy - ey) ** 2)
+    sbh = qb * ((ux - ex) ** 2 + (uy - ey) ** 2)
     half = math.sinh(0.5 * (b - a))
     t = 2.0 * math.asinh(math.sqrt(half * half + sa * sbh))
     along = 0.5 * half * math.sqrt(1.0 + half * half) - 0.5 * ca * sbh
-    across = quarter * (ex * uy - ey * ux)
+    across = qb * (ex * uy - ey * ux)
     return t, along, across
 
 
@@ -307,8 +337,9 @@ def _step(a: float, ex: float, ey: float, de: float, dp: float):
     tau = math.hypot(de, dp)
     if tau == 0.0:
         return a, ex, ey
+    quarter = _cosh_sinh(0.25, tau)[1]
     t, along, across = _pole_log(
-        a, math.cosh(a), math.sinh(a), -1.0, 0.0, tau, math.sinh(tau), de / tau, dp / tau
+        a, math.cosh(a), math.sinh(a), -1.0, 0.0, tau, quarter, de / tau, dp / tau
     )
     r = math.hypot(along, across)
     if r == 0.0:

@@ -156,7 +156,7 @@ def log_map(p, q, radius: float) -> TangentVector:
     a, ex, ey = _polar(p, radius)
     b, ux, uy = _polar(q, radius)
     ca, sa = math.cosh(a), math.sinh(a)
-    t, along, across = _pole_log(a, ca, sa, ex, ey, b, math.sinh(b), ux, uy)
+    t, along, across = _pole_log(a, ca, sa, ex, ey, b, 0.25 * math.sinh(b), ux, uy)
     norm = math.hypot(along, across)
     if norm == 0.0:
         return TangentVector(base=p, v=(0.0, 0.0, 0.0))
@@ -216,7 +216,7 @@ def _derivatives(particles, a: float, ex: float, ey: float):
     ca, sa = math.cosh(a), math.sinh(a)
     rows = []
     for m, b, sb, ux, uy in particles:
-        t, along, across = _pole_log(a, ca, sa, ex, ey, b, sb, ux, uy)
+        t, along, across = _pole_log(a, ca, sa, ex, ey, b, 0.25 * sb, ux, uy)
         norm = math.hypot(along, across)
         # A particle at the iterate (t = 0) has any heading; take e.
         vx, vy = (along / norm, across / norm) if norm else (1.0, 0.0)

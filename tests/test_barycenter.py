@@ -338,6 +338,26 @@ def test_com_hyperboloid_center_on_the_band_rim_is_a_numerical_error():
         com_hyperboloid([1.0, 3.0], points, 1.0)
 
 
+def test_com_hyperboloid_past_the_double_range_of_sinh_matches_the_oracle():
+    # At R = 1e-100 a point 711R out has x / R = sinh(711) > 2^1024: its
+    # band coordinate a = asinh(x / R) read inf, and the center raised
+    # NumericalError, or ended in "-inf + inf in fsum" for points on
+    # opposite sides, though every coordinate is about 3e208.  A mean a
+    # near 711 carries an ulp of 1.1e-13, and each far read rounds three
+    # times (ln |x| + ln(2 / rho)): the worst error is 5.5e-14 R.
+    radius = 1e-100
+    far = radius * math.exp(355.5) * (0.5 * math.exp(355.5))  # R sinh(711)
+    for points in (
+        [(far, 0.0, far), (far, 0.0, far)],
+        [(far, 0.0, far), (-far, 0.0, far)],
+        [(far, 0.0, far), (far * math.cos(0.3), far * math.sin(0.3), far)],
+        [(far, 0.0, far), _sheet_point(1.0, 2.0, radius)],
+    ):
+        center = com_hyperboloid([1.0, 2.0], points, radius)
+        expected = com_hyperboloid_highprec([1.0, 2.0], points, radius)
+        assert sheet_distance_highprec(center, expected, radius) <= 2e-13 * radius
+
+
 @pytest.mark.parametrize("model", ["line", "disk"])
 def test_center_whose_weighted_coordinates_overflow_matches_the_oracle(model):
     # m v passes the double range at these masses although the total

@@ -732,6 +732,19 @@ def _one_line_failure(done, code):
     assert "Traceback" not in done.stderr
 
 
+def test_com_past_the_double_range_of_sinh_reports_its_center(tmp_path):
+    # At R = 1e-100 points 711R out on opposite sides read a = +-inf, and
+    # `com` ended in a "-inf + inf in fsum" traceback.
+    far = 1e-100 * math.exp(355.5) * (0.5 * math.exp(355.5))
+    path = write_system(
+        tmp_path / "far.json", 1e-100, "hyperboloid", [(1.0, (far, 0.0, far)), (2.0, (-far, 0.0, far))]
+    )
+    done = run_cli("com", "--input", str(path))
+    assert done.returncode == 0, done.stderr
+    a, b = json.loads(done.stdout)["results"]["log_ratio_mean"]
+    assert a == pytest.approx(-237.0, rel=1e-15) and b == 0.0
+
+
 def test_com_far_sheet_pair_reports_its_center(tmp_path):
     # Mass 1 at the pole and mass m at s R: the projected far point lies
     # in the disk's rim band, and the command exited 1 with "not inside

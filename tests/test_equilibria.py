@@ -248,6 +248,20 @@ def test_sweep_rejects_empty_angle_list():
             rotation_sweep(system, angles)
 
 
+def test_sweep_checks_the_model_then_the_angles_then_their_count():
+    # All angles go to the center kernel in one batch, after every check;
+    # the checks keep the order of the angle-by-angle loop.
+    with pytest.raises(ValidationError, match="expected a 'disk' system, got 'line'"):
+        rotation_sweep(line_system([1.0], [0.1], 1.0), [math.nan])
+    system = diametric_system(1.0, 2.0, 0.5, 1.0)
+    with pytest.raises(ValidationError, match="angle must be finite, got nan"):
+        rotation_sweep(system, [0.0, math.nan])
+    with pytest.raises(ValidationError, match="angle must be finite, got inf"):
+        rotation_sweep(system, [0.0, math.inf, math.nan])
+    with pytest.raises(ValidationError, match="at least one angle"):
+        rotation_sweep(system, [])
+
+
 # --- triples --------------------------------------------------------------------
 
 

@@ -148,6 +148,21 @@ def test_log_map_near_the_top_of_the_double_range_against_mpmath():
         assert math.dist(log_map(p, q, radius).v, want) <= 2e-13 * math.hypot(*want)
 
 
+def test_exp_map_past_the_overflow_of_sinh_against_mpmath():
+    # At R = 1e-100 q is 710.57 R from p, and the step formed sinh of that
+    # length before R scaled it down: exp_map raised ValidationError
+    # "reaches no finite sheet point" for a point of coordinates 1.79e208.
+    # A step that long carries an ulp of 1.1e-13, which e^t keeps as a
+    # relative error: 1.8e-13 from the exact vector, 3.0e-13 round trip.
+    radius, far = 1e-100, 1.79e208
+    near = radius * math.sinh(0.1)
+    p = (near * math.cos(2.0), near * math.sin(2.0), radius * math.cosh(0.1))
+    q = (-far * math.cos(2.0), -far * math.sin(2.0), far)
+    exact = exp_map(TangentVector(base=p, v=log_map_highprec(p, q, radius)), radius)
+    assert math.dist(exact, q) <= 3e-13 * far
+    assert math.dist(exp_map(log_map(p, q, radius), radius), q) <= 5e-13 * far
+
+
 def test_log_map_whose_vector_passes_the_double_range_fails_numerically():
     # 707.6 R out, the vector to the pole has components near 7e309; it
     # read (-inf, 0, -inf).

@@ -22,6 +22,7 @@ reference bisects, so those agree with their references within rounding.
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,7 @@ from hypercom import (
     unproject,
 )
 from hypercom.barycenter import DISK, _center
-from hypercom.geometry import _sheet_point, _step
+from hypercom.geometry import _asinh_ratio, _cosh_sinh, _sheet_point, _step
 
 from oracles import (
     com_disk_highprec,
@@ -163,6 +164,45 @@ def test_rotation_sweep_equals_per_angle_rebuild(system, angles):
     assert [s.angle for s in sweep.samples] == grid
     assert sweep.max_defect == max(s.defect for s in sweep.samples)
     assert sweep.max_center_abs == max(abs(s.com.center) for s in sweep.samples)
+
+
+@pytest.mark.parametrize(
+    "angles, evaluated",
+    [(None, 32), (uniform_angles(7), 7), (uniform_angles(8), 4), ([0.3, -2.0, 7.5], 3)],
+)
+def test_one_particle_sweep_equals_per_angle_rebuild(angles, evaluated):
+    # Every column of the batch holds one particle, its own center.
+    system = disk_system([2.0], [0.3 + 0.4j], 1.0)
+    sweep = rotation_sweep(system, angles)
+    reference = rotation_sweep_reference(system, angles)
+    assert sweep.base == reference.base
+    assert sweep.samples[:evaluated] == reference.samples[:evaluated]
+    assert [s.angle for s in sweep.samples] == [s.angle for s in reference.samples]
+    for first, second in zip(sweep.samples, sweep.samples[evaluated:]):
+        turned = CenterOfMass(-first.com.center, -first.com.log_ratio_mean, first.com.total_mass)
+        assert repr(second.com) == repr(turned)
+        assert second.defect == first.defect == 0.0
+    assert sweep.max_defect == 0.0
+
+
+def test_center_and_sample_records_are_named_tuples():
+    com = CenterOfMass(center=0.5 + 0.25j, log_ratio_mean=1 + 0.5j, total_mass=3.0)
+    sample = RotationSample(angle=0.5, com=com, defect=0.125)
+    # The repr of the frozen dataclasses these records were.
+    assert repr(sample) == (
+        "RotationSample(angle=0.5, com=CenterOfMass(center=(0.5+0.25j), "
+        "log_ratio_mean=(1+0.5j), total_mass=3.0), defect=0.125)"
+    )
+    assert com == CenterOfMass(0.5 + 0.25j, 1 + 0.5j, 3.0) == (0.5 + 0.25j, 1 + 0.5j, 3.0)
+    assert sample == RotationSample(0.5, com, 0.125)
+    assert com != CenterOfMass(0.5 + 0.25j, 1 + 0.5j, 4.0)
+    assert hash(com) == hash(CenterOfMass(0.5 + 0.25j, 1 + 0.5j, 3.0))
+    assert hash(sample) == hash(RotationSample(0.5, com, 0.125))
+    center, mean, total = com
+    assert (center, mean, total) == (com.center, com.log_ratio_mean, com.total_mass)
+    for record, name in ((com, "center"), (com, "total_mass"), (sample, "com"), (sample, "defect")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
 
 
 # Worst |center - com_disk_highprec of the points rotated by the angle| / R
@@ -307,6 +347,32 @@ def test_step_back_toward_the_pole_against_mpmath(rapidity):
         want = step_highprec(rapidity, ex, ey, de, dp)
         got = _sheet_point(*_step(rapidity, ex, ey, de, dp), 1.0)
         assert math.dist(got, want) <= 1e-12 * want[2]
+
+
+def test_scaled_cosh_sinh_past_the_overflow_of_sinh_against_mpmath():
+    # cosh and sinh pass the double range at |a| = 710.48 on their own,
+    # though R cosh a and R sinh a are finite for R < 1.  Worst relative
+    # error over 20 000 draws (|a| in [710.48, 940], finite products):
+    # 3.9e-16.  Below the overflow the products keep their bits.
+    for scale, a in ((1e-100, 710.5), (1e-100, -711.0), (1e-100, 940.0), (0.25, 711.5)):
+        z, s = _cosh_sinh(scale, a)
+        with mp.workdps(40):
+            want_z, want_s = (float(mp.mpf(scale) * f(a)) for f in (mp.cosh, mp.sinh))
+        assert abs(z - want_z) <= 5e-16 * want_z
+        assert abs(s - want_s) <= 5e-16 * abs(want_s)
+    for scale, a in ((0.7, 0.0), (1e-100, -3.5), (1.0, 710.4)):
+        assert _cosh_sinh(scale, a) == (scale * math.cosh(a), scale * math.sinh(a))
+
+
+def test_asinh_ratio_past_the_double_range_of_the_quotient_against_mpmath():
+    # x / rho overflows for a sheet point 711 R out at R = 1e-100, and the
+    # band coordinate read inf.  Worst relative error over 20 000 draws
+    # (x in 1e208..1e308, x / rho past the double range): 1.7e-16.
+    for x, rho in ((3.04e208, 1e-100), (-1.7e308, 2.5e-100), (1e250, 1e-60)):
+        with mp.workdps(60):
+            want = float(mp.asinh(mp.mpf(x) / mp.mpf(rho)))
+        assert abs(_asinh_ratio(x, rho) - want) <= 2e-16 * abs(want)
+    assert _asinh_ratio(0.5, 0.7) == math.asinh(0.5 / 0.7)
 
 
 def _near_rim(rng, radius):
