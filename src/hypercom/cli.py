@@ -15,12 +15,14 @@ Subcommands:
 Exit codes: 0 success, 1 invalid input, 2 numerical failure.  Output is
 deterministic: identical inputs give byte-identical reports.  Inputs are
 checked once, by the parser and by files.load_system (one read per file).
+main builds its parser once per process; build_parser returns a new one.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import re
 import sys
 
@@ -374,9 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as exc:

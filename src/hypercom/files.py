@@ -13,14 +13,14 @@ A system file is one JSON document:
 
 ``coords`` holds 1 number for "line", 2 ([re, im]) for "disk" and
 3 ([x, y, z]) for "hyperboloid".  load_system reads a file once, as
-UTF-8, and returns the sha256 of the bytes it parsed with the system.
+UTF-8, and returns the sha256 of the bytes it parsed with the system
+(from the built-in _sha2 or _sha256 module; hashlib where neither exists).
 Reports are JSON with sorted keys and fixed indentation; CSV traces use
 fixed headers.  Identical inputs therefore produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -35,6 +35,14 @@ from .barycenter import (
     line_system,
 )
 from .errors import NumericalError, ValidationError
+
+try:  # import _hashlib (OpenSSL, which hashlib loads) adds 3.5 MB RSS; _sha256 about 0
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256  # builds without the built-in hashes
 
 COORD_ARITY = {LINE: 1, DISK: 2, HYPERBOLOID: 3}
 TOP_LEVEL_KEYS = {"radius", "model", "particles"}
@@ -109,7 +117,7 @@ def load_system(path) -> tuple[MassedSystem, str]:
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read system file {path!r}: {exc}") from exc
-    return read_system_text(text), hashlib.sha256(data).hexdigest()
+    return read_system_text(text), sha256(data).hexdigest()
 
 
 def format_float(value: float) -> str:

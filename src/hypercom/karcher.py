@@ -250,8 +250,8 @@ def karcher_solve(
     has reached a new minimum for STALL_STEPS evaluations (the run is
     at its rounding floor) or after ``max_iter`` steps, with the iterate
     of smallest gradient norm, that norm and the step count attached;
-    raises NumericalError if rounding takes an iterate off the sheet or
-    overflows the gradient.
+    raises NumericalError if a particle's rapidity overflows, or if
+    rounding takes an iterate off the sheet or overflows the gradient.
 
     The particles were validated when the system was built; the loop
     checks only its own iterate, once per iteration.
@@ -268,6 +268,8 @@ def karcher_solve(
     particles = []
     for m, p in zip(system.mass_column, points):
         b, ux, uy = _polar(p, radius)
+        if not b < math.inf:
+            raise NumericalError(f"particle {tuple(p)!r}: its rapidity passes the double range")
         particles.append((m / system.total_mass, b, math.sinh(b), ux, uy))
     if initial is not None:
         a, ex, ey = _polar(check_hpoint(initial, radius), radius)

@@ -1,9 +1,12 @@
 """Black-box CLI tests: wire formats, exit codes, determinism."""
 
 import cmath
+import contextlib
 import hashlib
+import io
 import json
 import math
+import random
 import re
 import shlex
 import subprocess
@@ -12,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from hypercom import cli
 from oracles import euclidean_limit_error_highprec, sheet_distance_highprec
 
 
@@ -745,6 +749,30 @@ def test_com_past_the_double_range_of_sinh_reports_its_center(tmp_path):
     assert a == pytest.approx(-237.0, rel=1e-15) and b == 0.0
 
 
+def _mirror_pair_past_the_double_range(tmp_path):
+    # At R = 1e-100, masses 1 and 2 711 R out on opposite sides: r / R
+    # is past the largest double, so each rapidity asinh(r / R) reads inf.
+    radius = 1e-100
+    far, mirror = (3.04e208, 0.0, 3.04e208), (-3.04e208, 0.0, 3.04e208)
+    for p in (far, mirror):
+        distance = sheet_distance_highprec(p, (0.0, 0.0, radius), radius)
+        assert distance / radius > math.asinh(sys.float_info.max)
+    return write_system(
+        tmp_path / "mirror.json", radius, "hyperboloid", [(1.0, far), (2.0, mirror)]
+    )
+
+
+def test_karcher_compare_particle_past_the_double_range_is_a_numerical_failure(tmp_path):
+    # This ended in a "-inf + inf in fsum" traceback (exit 1) from the
+    # solver's Minkowski start.
+    path = _mirror_pair_past_the_double_range(tmp_path)
+    done = run_cli("karcher-compare", "--input", str(path))
+    _one_line_failure(done, 2)
+    assert "numerical failure" in done.stderr
+    assert "rapidity passes the double range" in done.stderr
+    assert run_cli("com", "--input", str(path)).returncode == 0
+
+
 def test_com_far_sheet_pair_reports_its_center(tmp_path):
     # Mass 1 at the pole and mass m at s R: the projected far point lies
     # in the disk's rim band, and the command exited 1 with "not inside
@@ -912,3 +940,78 @@ def test_readme_examples_print_what_the_readme_says():
         done = run_cli(*shlex.split(command))
         assert done.returncode == 0, command
         assert done.stdout == expected + "\n", command
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_calls_in_one_process_share_a_parser_and_no_state(pair_file, tmp_path, monkeypatch):
+    # main reuses one parser for every call in a process.  Every
+    # subcommand, help, usage errors, a malformed file and a numerical
+    # failure, in three orders, must give what a fresh process gives.
+    monkeypatch.setenv("COLUMNS", "100")  # help text wraps at the same width
+    line = write_system(tmp_path / "line.json", 1.0, "line", [(1.0, (0.5,)), (2.0, (-0.2,))])
+    sheet = write_system(
+        tmp_path / "sheet.json", 1.0, "hyperboloid",
+        [(1.0, (0.0, 0.0, 1.0)), (2.0, (math.sinh(1.0), 0.0, math.cosh(1.0)))],
+    )
+    mirror = _mirror_pair_past_the_double_range(tmp_path)
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{")
+    report = tmp_path / "report.json"
+    pair = str(pair_file)
+    cases = [
+        ("--help",),
+        ("karcher-compare", "--help"),
+        ("com", "--input", pair),
+        ("com", "--input", str(line)),
+        ("com", "--input", str(mirror)),
+        ("com", "--input", pair, "--output", str(report)),
+        ("equilibrium", "--m1", "1", "--m2", "2", "--alpha", "0.5", "--radius", "1"),
+        ("equilibrium", "--m1", "1", "--m2", "3", "--alpha", "0.25", "--radius", "2",
+         "--angles", "7", "--format", "csv"),
+        ("limit-sweep", "--input", pair, "--sweep", "10,20,40"),
+        ("limit-sweep", "--input", str(line), "--sweep", "10,20", "--format", "csv"),
+        ("karcher-compare", "--input", str(sheet)),
+        ("karcher-compare", "--input", str(sheet), "--tol", "1e-10"),
+        ("distance", "0", "0", "0.5", "0", "--radius", "1"),
+        ("project", "-1E0", "0", "1.4142135623730951", "--radius", "1"),
+        ("unproject", "0.5", "0", "--radius", "1"),
+        ("com",),
+        ("no-such-command",),
+        ("distance", "0", "0", "--radius", "1"),
+        ("equilibrium", "--m1", "1", "--m2", "2", "--alpha", "0.5", "--radius", "1",
+         "--angles", "0"),
+        ("com", "--input", str(malformed)),
+        ("karcher-compare", "--input", str(mirror)),
+    ]
+
+    def written():
+        if not report.exists():
+            return None
+        text = report.read_text(encoding="utf-8")
+        report.unlink()
+        return text
+
+    fresh = {}
+    for argv in cases:
+        done = run_cli(*argv)
+        fresh[argv] = (done.returncode, done.stdout, done.stderr, written())
+    assert {result[0] for result in fresh.values()} == {0, 1, 2}
+
+    cli._parser.cache_clear()
+    shuffled = list(cases)
+    random.Random(2).shuffle(shuffled)
+    calls = cases + cases[::-1] + shuffled
+    for argv in calls:
+        assert (*_in_process(argv), written()) == fresh[argv], argv
+    cache = cli._parser.cache_info()
+    assert (cache.misses, cache.hits) == (1, len(calls) - 1)
+    assert cli.build_parser() is not cli.build_parser()

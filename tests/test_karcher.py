@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hypercom import (
 )
 from hypercom.geometry import check_hpoint
 
-from oracles import karcher_gradient_norm_highprec, log_map_highprec
+from oracles import karcher_gradient_norm_highprec, log_map_highprec, sheet_distance_highprec
 
 POLE = HPoint(0.0, 0.0, 1.0)
 
@@ -341,3 +342,31 @@ def test_karcher_masses_scaled_by_a_power_of_two_give_the_same_bits():
     unit = karcher_solve(hyperboloid_system([1.0] * 3, points, 1.0))
     for mass in (5e307, 2.0**-1000, 5e-324):
         assert karcher_solve(hyperboloid_system([mass] * 3, points, 1.0)) == unit
+
+
+def test_karcher_particle_whose_rapidity_passes_the_double_range_fails_numerically():
+    # At R = 1e-100 a point at (3.04e208, 0, 3.04e208) is 711 R out:
+    # r / R is past the largest double, so its rapidity asinh(r / R)
+    # reads inf.  With its mirror the Minkowski start summed inf - inf
+    # and raised ValueError ("-inf + inf in fsum").
+    from hypercom import karcher_solve
+
+    radius = 1e-100
+    far, mirror = (3.04e208, 0.0, 3.04e208), (-3.04e208, 0.0, 3.04e208)
+    pole = (0.0, 0.0, radius)
+    limit = math.asinh(sys.float_info.max)
+    for p in (far, mirror):
+        assert sheet_distance_highprec(p, pole, radius) / radius > limit
+    for points in ([far, mirror], [pole, far], [far, far]):
+        system = hyperboloid_system([1.0, 2.0], points, radius)
+        for initial in (None, HPoint(*pole)):
+            with pytest.raises(NumericalError, match="rapidity passes the double range"):
+                karcher_solve(system, initial=initial)
+    # Just inside the double range the pair with the pole still solves,
+    # and its mean obeys the lever rule m1 d1 = m2 d2.
+    near = (1.7e208, 0.0, 1.7e208)
+    assert sheet_distance_highprec(near, pole, radius) / radius < limit
+    mean = karcher_solve(hyperboloid_system([1.0, 2.0], [near, pole], radius)).point
+    assert sheet_distance_highprec(near, mean, radius) == pytest.approx(
+        2.0 * sheet_distance_highprec(pole, mean, radius), rel=1e-13
+    )
