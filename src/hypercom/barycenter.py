@@ -146,7 +146,7 @@ def disk_system(masses, positions, radius: float) -> MassedSystem:
 
 
 def hyperboloid_system(masses, points, radius: float) -> MassedSystem:
-    return _system(masses, points, radius, HYPERBOLOID, lambda p: HPoint(*p))
+    return _system(masses, points, radius, HYPERBOLOID, lambda p: HPoint(*map(float, p)))
 
 
 def _system(masses, positions, radius, model, coerce) -> MassedSystem:

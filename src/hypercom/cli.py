@@ -41,7 +41,6 @@ from .equilibria import (
     SWEEP_ANGLES,
     classify_balance,
     rotation_sweep,
-    uniform_angles,
 )
 from .errors import NumericalError, ValidationError
 from .files import csv_text, format_float, load_system, report_text
@@ -60,7 +59,7 @@ from .geometry import (
     project,
     unproject,
 )
-from .karcher import KarcherSettings, karcher_mean
+from .karcher import _tolerance, karcher_mean
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -150,7 +149,7 @@ def _cmd_equilibrium(args) -> int:
     system = disk_system(
         [args.m1, args.m2], [args.alpha, -verdict.partner_radius], radius
     )
-    sweep = rotation_sweep(system, uniform_angles(args.angles))
+    sweep = rotation_sweep(system, args.angles)
     rows = [
         (s.angle, s.com.center.real, s.com.center.imag, s.defect)
         for s in sweep.samples
@@ -250,8 +249,8 @@ def _cmd_limit_sweep(args) -> int:
 def _cmd_karcher_compare(args) -> int:
     system, digest = load_system(args.input)
     radius = system.radius
-    settings = KarcherSettings(tol=args.tol)
-    mean_point = karcher_mean(to_hyperboloid_system(system), settings)
+    tol = _tolerance(args.tol, radius)
+    mean_point = karcher_mean(to_hyperboloid_system(system), args.tol)
     mean_disk = _project(mean_point, radius)
     if cmath.isinf(mean_disk):
         raise NumericalError(
@@ -285,11 +284,7 @@ def _cmd_karcher_compare(args) -> int:
         "model": system.model,
         "radius": radius,
         "results": results,
-        "tolerances": {
-            "karcher_gradient": settings.tol
-            if settings.tol is not None
-            else 1e-12 * radius,
-        },
+        "tolerances": {"karcher_gradient": tol},
     }
     _emit(report_text(report), args.output)
     return EXIT_OK

@@ -13,17 +13,17 @@ mass-symmetric configurations (the center sits at the origin for every
 angle) but not in general; rotation_sweep records the defect curve
 instead of asserting it away.  It does commute with the half turn
 w -> -w, exactly and in doubles: v is odd in w, and cmath.atanh, the
-exact sums and cmath.tanh are odd bit for bit.  So on an even uniform
-grid (uniform_angles of an even count, the default 64 angles and every
-even `equilibrium --angles`) rotation_sweep evaluates only the first
-half; sample k + N/2 is sample k turned by pi, its center and mean
-negated and its defect the same float.  On any other angle list every
-angle is evaluated.  Either way a sweep is one pass over its rotated
-columns: those of all evaluated angles go to the center kernel in one
-call, with the arithmetic and the bits of one call per angle.  The same
-spirit applies to the three-body collinear and equilateral
-constructions and to the mirror-symmetric pair, whose center provably
-stays on the imaginary axis (the geodesic fixed by x -> -x).
+exact sums and cmath.tanh are odd bit for bit.  So for an even count
+(the default 64 angles and every even `equilibrium --angles`)
+rotation_sweep evaluates only the first half of its uniform grid;
+sample k + N/2 is sample k turned by pi, its center and mean negated
+and its defect the same float.  An odd count evaluates every angle.
+Either way a sweep is one pass over its rotated columns: those of all
+evaluated angles go to the center kernel in one call, with the
+arithmetic and the bits of one call per angle.  The same spirit applies
+to the three-body collinear and equilateral constructions and to the
+mirror-symmetric pair, whose center provably stays on the imaginary
+axis (the geodesic fixed by x -> -x).
 """
 
 from __future__ import annotations
@@ -224,28 +224,21 @@ def uniform_angles(count: int) -> list[float]:
     return [2.0 * math.pi * k / count for k in range(count)]
 
 
-def rotation_sweep(system: MassedSystem, angles=None) -> RotationSweep:
-    """Recompute the center over rigid rotations of a disk system.
+def rotation_sweep(system: MassedSystem, count: int = SWEEP_ANGLES) -> RotationSweep:
+    """Recompute the center over rigid rotations by uniform_angles(count).
 
     A rotation about the origin keeps every point of a validated system
     inside the disk, so the rotated columns of all evaluated angles go
     to the center kernel in one pass, without building and revalidating
-    a system per angle.  On an even uniform grid only the first half is
-    evaluated and the second is the first turned by pi (see the module
-    docstring); the default is uniform_angles(SWEEP_ANGLES).
+    a system per angle.  An even count evaluates only the first half
+    and the second is the first turned by pi (see the module docstring);
+    an odd count evaluates every angle.
     """
-    if angles is None:
-        angles = grid = uniform_angles(SWEEP_ANGLES)
-    else:
-        angles = list(angles)
-        grid = uniform_angles(len(angles))
-    evaluated = len(angles) // 2 if len(angles) % 2 == 0 and angles == grid else len(angles)
     base = com_disk(system)
-    for angle in angles:
-        if not math.isfinite(angle):
-            raise ValidationError(f"rotation angle must be finite, got {angle!r}")
-    if not angles:
+    if count < 1:
         raise ValidationError("a rotation sweep needs at least one angle")
+    angles = uniform_angles(count)
+    evaluated = count // 2 if count % 2 == 0 else count
     total = base.total_mass
     rots = [cmath.exp(1j * angle) for angle in angles[:evaluated]]
     rotated = [w * rot for rot in rots for w in system.position_column]
@@ -326,8 +319,8 @@ def eulerian_triple(masses, positions, radius) -> tuple[TripleConfig, CenterOfMa
     )
 
 
-def lagrangian_triple(side, radius, mass=1.0) -> tuple[TripleConfig, CenterOfMass]:
-    """Equal masses at the vertices of an origin-centered equilateral triangle.
+def lagrangian_triple(side, radius) -> tuple[TripleConfig, CenterOfMass]:
+    """Unit masses at the vertices of an origin-centered equilateral triangle.
 
     Positions are side * {1, e^(2 pi i/3), e^(4 pi i/3)}.  The product
     identity prod(R +/- w_k) = R^3 +/- side^3 makes the averaged
@@ -342,7 +335,7 @@ def lagrangian_triple(side, radius, mass=1.0) -> tuple[TripleConfig, CenterOfMas
     positions = tuple(
         side * cmath.exp(2j * math.pi * k / 3.0) for k in range(3)
     )
-    masses = (float(mass),) * 3
+    masses = (1.0, 1.0, 1.0)
     config = TripleConfig(
         kind=LAGRANGIAN, masses=masses, positions=positions, radius=radius
     )

@@ -25,7 +25,7 @@ a diameter converge in one step.  log_map and exp_map are thin wrappers
 over them.  Where doubles fix the particles too coarsely for the
 tolerance (far from the pole, off the axes), the gradient stops
 decreasing; the iteration then raises ConvergenceError after
-STALL_STEPS evaluations instead of running to max_iter.
+STALL_STEPS evaluations instead of running to MAX_STEPS.
 
 For two particles the minimizer lies on their geodesic and satisfies
 the lever rule m1 d(x, x1) = m2 d(x, x2), so it coincides with
@@ -60,6 +60,8 @@ TANGENT_TOL = 1e-10
 # stalled at its rounding floor.  (Far from the minimizer the gradient
 # norm can rise for several steps while the objective falls.)
 STALL_STEPS = 3
+# Safety cap on the barycenter iteration's steps.
+MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -81,23 +83,13 @@ def _norm(v) -> float:
     return math.sqrt(max(minkowski_inner(v, v), 0.0))
 
 
-@dataclass(frozen=True)
-class KarcherSettings:
-    """Stopping rule for the barycenter iteration.
-
-    ``tol`` bounds the Minkowski norm of the mean log vector at the
-    output; None means 1e-12 times the radius of the system being
-    averaged.
-    """
-
-    tol: float | None = None
-    max_iter: int = 10_000
-
-    def __post_init__(self):
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValidationError(f"tolerance must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be at least 1, got {self.max_iter!r}")
+def _tolerance(tol: float | None, radius: float) -> float:
+    """The gradient tolerance: positive and finite, or 1e-12 R for None."""
+    if tol is None:
+        return 1e-12 * radius
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tolerance must be positive, got {tol!r}")
+    return tol
 
 
 def _is_tangent(base: HPoint, v, radius: float) -> bool:
@@ -233,34 +225,28 @@ def _derivatives(particles, a: float, ex: float, ey: float):
     return [math.fsum(column) for column in zip(*rows)]
 
 
-def karcher_solve(
-    system: MassedSystem,
-    settings: KarcherSettings | None = None,
-    initial: HPoint | None = None,
-) -> KarcherResult:
+def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResult:
     """Weighted Frechet mean of a hyperboloid-model system, with its statistics.
 
     Starts from the mass-weighted Minkowski average rescaled onto the
-    sheet (always on-sheet and inside the convex hull; ``initial``
-    overrides it, and the limit does not depend on the start) and takes
-    Newton steps until the mean log vector is shorter than the
-    tolerance.  A Newton step that raises the objective is replaced by
-    the damped gradient step from the point it left.  Raises
-    ConvergenceError when neither the gradient norm nor the objective
-    has reached a new minimum for STALL_STEPS evaluations (the run is
-    at its rounding floor) or after ``max_iter`` steps, with the iterate
-    of smallest gradient norm, that norm and the step count attached;
-    raises NumericalError if a particle's rapidity overflows, or if
-    rounding takes an iterate off the sheet or overflows the gradient.
+    sheet (always on-sheet and inside the convex hull) and takes Newton
+    steps until the mean log vector is shorter than ``tol`` (positive
+    and finite; None means 1e-12 times the radius).  A Newton step that
+    raises the objective is replaced by the damped gradient step from
+    the point it left.  Raises ConvergenceError when neither the
+    gradient norm nor the objective has reached a new minimum for
+    STALL_STEPS evaluations (the run is at its rounding floor) or after
+    MAX_STEPS steps, with the iterate of smallest gradient norm, that
+    norm and the step count attached; raises NumericalError if a
+    particle's rapidity overflows, or if rounding takes an iterate off
+    the sheet or overflows the gradient.
 
     The particles were validated when the system was built; the loop
     checks only its own iterate, once per iteration.
     """
     _require_model(system, HYPERBOLOID)
-    if settings is None:
-        settings = KarcherSettings()
     radius = system.radius
-    tol = settings.tol if settings.tol is not None else 1e-12 * radius
+    tol = _tolerance(tol, radius)
     points = system.position_column
     if len(points) == 1:
         return KarcherResult(points[0], 0, 0.0)
@@ -271,10 +257,7 @@ def karcher_solve(
         if not b < math.inf:
             raise NumericalError(f"particle {tuple(p)!r}: its rapidity passes the double range")
         particles.append((m / system.total_mass, b, math.sinh(b), ux, uy))
-    if initial is not None:
-        a, ex, ey = _polar(check_hpoint(initial, radius), radius)
-    else:
-        a, ex, ey = _minkowski_start(particles)
+    a, ex, ey = _minkowski_start(particles)
     best_norm, best_point, best_objective, since_best = math.inf, None, math.inf, 0
     # Objective and damped step at the point the last Newton step left.
     left = None
@@ -299,19 +282,15 @@ def karcher_solve(
             best_norm, best_point, since_best = gradient_norm, point, 0
         if objective < best_objective:
             best_objective, since_best = objective, 0
-        if since_best >= STALL_STEPS:
+        stalled = since_best >= STALL_STEPS
+        if stalled or steps == MAX_STEPS:
             raise ConvergenceError(
                 f"barycenter iteration stalled at gradient norm {best_norm!r}, "
                 f"above the tolerance {tol!r}: neither it nor the objective "
-                f"decreased in {STALL_STEPS} steps",
-                last_iterate=best_point,
-                gradient_norm=best_norm,
-                iterations=steps,
-            )
-        if steps == settings.max_iter:
-            raise ConvergenceError(
-                f"barycenter iteration did not reach {tol!r} within "
-                f"{settings.max_iter} steps (gradient norm {best_norm!r})",
+                f"decreased in {STALL_STEPS} steps"
+                if stalled
+                else f"barycenter iteration did not reach {tol!r} within "
+                f"{MAX_STEPS} steps (gradient norm {best_norm!r})",
                 last_iterate=best_point,
                 gradient_norm=best_norm,
                 iterations=steps,
@@ -333,10 +312,6 @@ def karcher_solve(
         steps += 1
 
 
-def karcher_mean(
-    system: MassedSystem,
-    settings: KarcherSettings | None = None,
-    initial: HPoint | None = None,
-) -> HPoint:
+def karcher_mean(system: MassedSystem, tol: float | None = None) -> HPoint:
     """Weighted Frechet mean of a hyperboloid-model system: karcher_solve's point."""
-    return karcher_solve(system, settings, initial).point
+    return karcher_solve(system, tol).point

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hypercom import (
     HPoint,
+    MassedSystem,
     NumericalError,
     ValidationError,
     arclength_from_pole,
@@ -22,6 +23,7 @@ from hypercom import (
     euclidean_limit_error,
     geodesic_between,
     hyperboloid_system,
+    karcher_mean,
     lever_point,
     lever_residual,
     line_system,
@@ -162,6 +164,27 @@ def test_system_validation():
         disk_system([1.0], [0.5], 0.0)
     with pytest.raises(ValidationError):
         com_line(disk_system([1.0], [0.5], 1.0))
+
+
+def test_system_builders_count_the_particles_before_converting_them():
+    with pytest.raises(ValidationError, match="^1 masses for 2 positions$"):
+        disk_system([1.0], ["x", 0.5], 1.0)
+    with pytest.raises(ValidationError, match="^1 masses for 2 positions$"):
+        com_euclidean([1.0], [0.1, 0.2])
+
+
+def test_system_rejects_an_unknown_model_tag():
+    with pytest.raises(ValidationError, match="unknown model tag 'sphere'"):
+        MassedSystem((1.0,), (0.1,), 1.0, "sphere")
+
+
+def test_hyperboloid_system_holds_float_coordinates():
+    # Int coordinates were kept as given: this barycenter was
+    # HPoint(x=0, y=0, z=1).
+    system = hyperboloid_system([1], [(0, 0, 1)], 1)
+    assert all(type(c) is float for p in system.position_column for c in p)
+    assert repr(karcher_mean(system)) == "HPoint(x=0.0, y=0.0, z=1.0)"
+    assert repr(com_hyperboloid([1], [(0, 0, 1)], 1)) == "HPoint(x=0.0, y=0.0, z=1.0)"
 
 
 # --- disk center --------------------------------------------------------------

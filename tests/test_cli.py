@@ -239,10 +239,10 @@ def test_equilibrium_even_sweep_second_half_is_the_first_turned_by_pi(angles):
 
 
 def test_equilibrium_odd_sweep_is_evaluated_angle_by_angle():
-    from hypercom import balance_radius, disk_system, rotation_sweep, uniform_angles
+    from hypercom import balance_radius, disk_system, rotation_sweep
 
     system = disk_system([1.0, 2.0], [0.5, -balance_radius(1.0, 2.0, 0.5, 1.0)], 1.0)
-    sweep = rotation_sweep(system, uniform_angles(7))
+    sweep = rotation_sweep(system, 7)
     assert _sweep_csv(7) == [
         [s.angle, s.com.center.real, s.com.center.imag, s.defect] for s in sweep.samples
     ]
