@@ -24,10 +24,11 @@ One kernel, _centers, serves the line, the disk and the sheet: it reads
 v from each model's own coordinates, forms the mean once with exact
 sums and maps it back into the same model.  It takes several columns
 that share masses, total and radius and reads them in one pass, so a
-rotation sweep evaluates all its angles in one call; _center is the
-one-column case.  The public centers, the rotation sweep, the Eulerian
-triple and the CLI reports all call it.
-Its particles are checked in one place, by MassedSystem: the system
+rotation sweep evaluates all its angles in one call, and a system is
+the one-column case.  The public centers, the rotation sweep, the
+Eulerian triple and the CLI reports all call it.
+Its particles are checked in one place, by MassedSystem, against the
+one table _MODELS of each model's stored form and checks: the system
 builders, com_hyperboloid and the triples build one, and the kernel
 trusts what it reads.
 
@@ -67,7 +68,15 @@ from .geometry import (
 LINE = "line"
 DISK = "disk"
 HYPERBOLOID = "hyperboloid"
-MODELS = (LINE, DISK, HYPERBOLOID)
+
+# Per model: the stored form of a position (a single particle is its
+# own center in it), the one-pass column test and the first-error check.
+_MODELS = {
+    LINE: (float, _inside, check_interval_point),
+    DISK: (complex, _inside, check_disk_point),
+    HYPERBOLOID: (lambda p: HPoint(*map(float, p)), _on_sheet_column, check_hpoint),
+}
+MODELS = tuple(_MODELS)
 
 
 def check_mass(mass: float) -> float:
@@ -94,9 +103,9 @@ class MassedSystem:
     disk, float for the line, HPoint for the hyperboloid).  Build systems
     with line_system, disk_system or hyperboloid_system; construction
     validates the radius, the model tag and every particle, so the
-    kernels that read the columns trust them, and sums the masses once
-    into ``total_mass``.  ``particles`` builds the per-particle view on
-    request.
+    kernels that read the columns trust them, keeps the radius as the
+    checked float and sums the masses once into ``total_mass``.
+    ``particles`` builds the per-particle view on request.
     """
 
     mass_column: tuple[float, ...]
@@ -106,23 +115,20 @@ class MassedSystem:
     total_mass: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_radius(self.radius)
-        if self.model not in MODELS:
+        radius = check_radius(self.radius)
+        if self.model not in _MODELS:
             raise ValidationError(f"unknown model tag {self.model!r}")
+        _, inside, check_position = _MODELS[self.model]
         masses, positions = self.mass_column, self.position_column
         if not masses:
             raise ValidationError("a system needs at least one particle")
-        if len(masses) != len(positions):
-            raise ValidationError(
-                f"{len(masses)} masses for {len(positions)} positions"
-            )
-        inside = _on_sheet_column if self.model == HYPERBOLOID else _inside
-        if not (_masses_valid(masses) and inside(positions, self.radius)):
+        _same_count(masses, positions)
+        if not (_masses_valid(masses) and inside(positions, radius)):
             # Walk the particles in order to raise the first error.
-            check_position = _POSITION_CHECKS[self.model]
             for m, p in zip(masses, positions):
                 check_mass(m)
-                check_position(p, self.radius)
+                check_position(p, radius)
+        object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "total_mass", _total_mass(masses))
 
     @property
@@ -138,24 +144,22 @@ class MassedSystem:
 
 
 def line_system(masses, positions, radius: float) -> MassedSystem:
-    return _system(masses, positions, radius, LINE, float)
+    return _system(masses, positions, radius, LINE)
 
 
 def disk_system(masses, positions, radius: float) -> MassedSystem:
-    return _system(masses, positions, radius, DISK, complex)
+    return _system(masses, positions, radius, DISK)
 
 
 def hyperboloid_system(masses, points, radius: float) -> MassedSystem:
-    return _system(masses, points, radius, HYPERBOLOID, lambda p: HPoint(*map(float, p)))
+    return _system(masses, points, radius, HYPERBOLOID)
 
 
-def _system(masses, positions, radius, model, coerce) -> MassedSystem:
+def _system(masses, positions, radius, model) -> MassedSystem:
     masses = list(masses)
     positions = list(positions)
-    if len(masses) != len(positions):
-        raise ValidationError(
-            f"{len(masses)} masses for {len(positions)} positions"
-        )
+    _same_count(masses, positions)
+    coerce = _MODELS[model][0]
     try:
         mass_column = tuple(map(float, masses))
         position_column = tuple(map(coerce, positions))
@@ -168,11 +172,9 @@ def _system(masses, positions, radius, model, coerce) -> MassedSystem:
     return MassedSystem(mass_column, position_column, radius, model)
 
 
-_POSITION_CHECKS = {
-    LINE: check_interval_point,
-    DISK: check_disk_point,
-    HYPERBOLOID: check_hpoint,
-}
+def _same_count(masses, positions) -> None:
+    if len(masses) != len(positions):
+        raise ValidationError(f"{len(masses)} masses for {len(positions)} positions")
 
 
 def _masses_valid(masses) -> bool:
@@ -202,11 +204,11 @@ def log_ratio(w, radius: float) -> complex:
     """Averaging coordinate log((R + w) / (R - w)) = 2 atanh(w / R).
 
     Principal branch, imaginary part in (-pi/2, pi/2); odd in w and
-    commutes with conjugation.  One particle's mean, from _center.
+    commutes with conjugation.  One particle's mean, from _centers.
     """
     radius = check_radius(radius)
     w = check_disk_point(w, radius)
-    return _center(DISK, (1.0,), 1.0, (w,), radius)[0]
+    return _centers(DISK, (1.0,), 1.0, (w,), radius)[0][0]
 
 
 def log_ratio_inv(v, radius: float) -> complex:
@@ -261,24 +263,15 @@ def com_hyperboloid(masses, points, radius: float) -> HPoint:
     rim raises NumericalError.
     """
     # The system holds the caller's 3-sequences, not HPoints, and never
-    # leaves this function: _center reads only their x and y.
+    # leaves this function: _centers reads only their x and y.
     system = MassedSystem(tuple(map(float, masses)), tuple(points), radius, HYPERBOLOID)
     return _system_center(system)[1]
 
 
 def _system_center(system: MassedSystem):
-    """_center of a system's own columns."""
+    """(mean, center) of a system: _centers of its own one column."""
     masses, positions = system.mass_column, system.position_column
-    return _center(system.model, masses, system.total_mass, positions, float(system.radius))
-
-
-# A single particle is its own center, as a point of its own model.
-_OWN_POINT = {LINE: float, DISK: complex, HYPERBOLOID: lambda p: HPoint(*map(float, p))}
-
-
-def _center(model: str, masses, total: float, positions, radius: float):
-    """(mean, center) of one column of validated particles: _centers of it."""
-    return _centers(model, masses, total, positions, radius)[0]
+    return _centers(system.model, masses, system.total_mass, positions, system.radius)[0]
 
 
 def _centers(model: str, masses, total: float, positions, radius: float):
@@ -288,11 +281,12 @@ def _centers(model: str, masses, total: float, positions, radius: float):
     for a system, one per angle for a rotation sweep), all with the
     masses ``masses`` and their exact sum ``total``.  One pass reads the
     coordinates of every column; then each column's mean is formed and
-    mapped back, a single column in place.  The line (no imaginary
-    column) and the disk read and map back h = v / 2 by the geometry
-    kernels and double the mean into v, exactly; the sheet reads
-    v = a + ib from x and y (z is never read).  A sheet mean whose b
-    rounds to +-pi/2, or whose point overflows, is a NumericalError.
+    mapped back, and a single particle is its own center, in its
+    model's stored form.  The line (no imaginary column) and the disk
+    read and map back h = v / 2 by the geometry kernels and double the
+    mean into v, exactly; the sheet reads v = a + ib from x and y (z is
+    never read).  A sheet mean whose b rounds to +-pi/2, or whose point
+    overflows, is a NumericalError.
     """
     n = len(masses)
     if model == DISK:
@@ -306,13 +300,12 @@ def _centers(model: str, masses, total: float, positions, radius: float):
         # x / rho passes the double range for points past 710R at R < 1.
         if not math.isfinite(sum(re)):
             re = [_asinh_ratio(x, math.hypot(radius, y)) for x, y, _ in positions]
-    whole = n == len(positions)  # one column, summed in place
     results = []
     for k in range(0, len(positions), n):
-        column_re, column_im = (re, im) if whole else (re[k:k + n], im and im[k:k + n])
+        column_re, column_im = re[k:k + n], im and im[k:k + n]
         if n == 1:
             mean = complex(column_re[0], 0.0 if column_im is None else column_im[0])
-            center = _OWN_POINT[model](positions[k])
+            center = _MODELS[model][0](positions[k])
         elif model == HYPERBOLOID:
             mean = _mean(masses, total, column_re, column_im)
             y = radius * math.tan(mean.imag)
@@ -356,10 +349,7 @@ def com_euclidean(masses, positions) -> complex:
     masses = [check_mass(m) for m in masses]
     total = _total_mass(masses)
     positions = [complex(p) for p in positions]
-    if len(masses) != len(positions):
-        raise ValidationError(
-            f"{len(masses)} masses for {len(positions)} positions"
-        )
+    _same_count(masses, positions)
     if not positions:
         raise ValidationError("a system needs at least one particle")
     for p in positions:

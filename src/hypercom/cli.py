@@ -30,7 +30,7 @@ from .barycenter import (
     DISK,
     HYPERBOLOID,
     LINE,
-    _center,
+    _centers,
     _system_center,
     com_euclidean,
     disk_system,
@@ -218,7 +218,7 @@ def _cmd_limit_sweep(args) -> int:
                 else f"point {w!r} falls outside the swept disk of radius {smallest!r}"
             )
     total = system.total_mass
-    centers = [_center(DISK, masses, total, positions, r)[1] for r in radii]
+    centers = [_centers(DISK, masses, total, positions, r)[0][1] for r in radii]
     flat = com_euclidean(masses, positions)
     rows = [(r, abs(center - flat)) for r, center in zip(radii, centers)]
     if args.format == "csv":
@@ -250,7 +250,7 @@ def _cmd_karcher_compare(args) -> int:
     system, digest = load_system(args.input)
     radius = system.radius
     tol = _tolerance(args.tol, radius)
-    mean_point = karcher_mean(to_hyperboloid_system(system), args.tol)
+    mean_point = karcher_mean(to_hyperboloid_system(system), tol)
     mean_disk = _project(mean_point, radius)
     if cmath.isinf(mean_disk):
         raise NumericalError(

@@ -92,9 +92,9 @@ def balance_radius(m1: float, m2: float, alpha: float, radius: float) -> float:
             f"balancing radius for masses ({m1!r}, {m2!r}) at alpha {alpha!r} "
             f"rounds onto the disk boundary"
         )
-    target, achieved = _lever_sides(m1, v, m2, _line_coordinate(r, radius))
-    # r = 0, a radius that underflowed, balances nothing for alpha > 0.
-    if r == 0.0 or abs(achieved - target) > EQUALITY_RTOL * max(achieved, target):
+    # r = 0, a radius that underflowed, balances nothing for alpha > 0,
+    # even where v(alpha) underflowed too and both sides read 0.
+    if r == 0.0 or not _balanced(m1, v, m2, _line_coordinate(r, radius)):
         raise NumericalError(
             f"balancing radius {r!r} cannot reproduce the lever balance to "
             f"{EQUALITY_RTOL!r} in double precision"
@@ -122,6 +122,12 @@ def _lever_sides(m1: float, v1: float, m2: float, v2: float) -> tuple[float, flo
     return tuple(math.ldexp(f, e + shift) for f, e in sides)
 
 
+def _balanced(m1: float, v1: float, m2: float, v2: float) -> bool:
+    """The lever certificate: m1 v1 and m2 v2 agree to EQUALITY_RTOL."""
+    s1, s2 = _lever_sides(m1, v1, m2, v2)
+    return abs(s1 - s2) <= EQUALITY_RTOL * max(abs(s1), abs(s2))
+
+
 @dataclass(frozen=True)
 class TwoBodyEquilibrium:
     """Diametric two-body configuration satisfying the lever balance."""
@@ -139,8 +145,7 @@ class TwoBodyEquilibrium:
         check_interval_point(self.alpha, radius)
         check_interval_point(self.partner_radius, radius)
         v1, v2 = (_line_coordinate(u, radius) for u in (self.alpha, self.partner_radius))
-        s1, s2 = _lever_sides(self.m1, v1, self.m2, v2)
-        if abs(s1 - s2) > EQUALITY_RTOL * max(abs(s1), abs(s2)):
+        if not _balanced(self.m1, v1, self.m2, v2):
             raise ValidationError(
                 f"radii ({self.alpha!r}, {self.partner_radius!r}) do not "
                 f"satisfy the lever balance for masses "
@@ -192,10 +197,7 @@ def classify_balance(m1, m2, alpha, radius) -> BalanceVerdict:
 
 def diametric_system(m1, m2, alpha, radius) -> MassedSystem:
     """Balanced pair as a disk system: m1 at +alpha, m2 at -balance_radius."""
-    pair = balanced_pair(m1, m2, alpha, radius)
-    return disk_system(
-        [pair.m1, pair.m2], [alpha, -pair.partner_radius], radius
-    )
+    return disk_system([m1, m2], [alpha, -balance_radius(m1, m2, alpha, radius)], radius)
 
 
 class RotationSample(NamedTuple):
@@ -242,7 +244,7 @@ def rotation_sweep(system: MassedSystem, count: int = SWEEP_ANGLES) -> RotationS
     total = base.total_mass
     rots = [cmath.exp(1j * angle) for angle in angles[:evaluated]]
     rotated = [w * rot for rot in rots for w in system.position_column]
-    centers = _centers(DISK, system.mass_column, total, rotated, float(system.radius))
+    centers = _centers(DISK, system.mass_column, total, rotated, system.radius)
     samples = [
         RotationSample(angle, CenterOfMass(c, mean, total), abs(c - base.center * rot))
         for angle, rot, (mean, c) in zip(angles, rots, centers)
@@ -272,8 +274,7 @@ class TripleConfig:
     def __post_init__(self):
         if len(self.masses) != 3 or len(self.positions) != 3:
             raise ValidationError("a triple needs exactly three masses and positions")
-        disk_system(self.masses, self.positions, self.radius)
-        radius = float(self.radius)
+        radius = disk_system(self.masses, self.positions, self.radius).radius
         if self.kind == EULERIAN:
             if any(p.imag != 0.0 for p in self.positions):
                 raise ValidationError(
@@ -304,16 +305,10 @@ def eulerian_triple(masses, positions, radius) -> tuple[TripleConfig, CenterOfMa
     The center comes from the 1D averaging formula; the configuration
     is balanced exactly when the averaged coordinate vanishes.
     """
-    masses = tuple(float(m) for m in masses)
-    positions = tuple(float(u) for u in positions)
     system = line_system(masses, positions, radius)
     mean, center = _system_center(system)
-    config = TripleConfig(
-        kind=EULERIAN,
-        masses=masses,
-        positions=tuple(complex(u) for u in positions),
-        radius=float(radius),
-    )
+    positions = tuple(map(complex, system.position_column))
+    config = TripleConfig(EULERIAN, system.mass_column, positions, system.radius)
     return config, CenterOfMass(
         center=complex(center), log_ratio_mean=mean, total_mass=system.total_mass
     )

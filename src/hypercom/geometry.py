@@ -423,6 +423,8 @@ class GeodesicSegment:
     length: float
 
     def point(self, t: float) -> complex:
+        if not 0.0 <= t <= 1.0:
+            raise ValidationError(f"geodesic parameter must be in [0, 1], got {t!r}")
         r, a, b = self.radius, self.start, self.end
         if t > 0.5:
             a, b, t = b, a, 1.0 - t

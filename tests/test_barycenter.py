@@ -129,6 +129,20 @@ def test_log_ratio_roundtrip(w):
 
 def test_com_line_single_particle_exact():
     assert com_line(line_system([3.0], [0.7], 1.0)) == 0.7
+    # Int inputs come back in the line's stored form, a float.
+    center = com_line(line_system([3], [0], 1))
+    assert type(center) is float and repr(center) == "0.0"
+
+
+@pytest.mark.parametrize("radius", [1, np.float64(1.0)], ids=["int", "float64"])
+def test_system_keeps_the_checked_radius(radius):
+    systems = [
+        line_system([1.0], [0.5], radius),
+        disk_system([1.0], [0.5j], radius),
+        hyperboloid_system([1.0], [(0.0, 0.0, 1.0)], radius),
+    ]
+    for system in systems:
+        assert type(system.radius) is float and system.radius == 1.0
 
 
 def test_com_line_symmetric_pair():
@@ -194,6 +208,11 @@ def test_com_disk_single_particle_exact():
     com = com_disk(disk_system([2.0], [0.3 + 0.1j], 1.0))
     assert com.center == 0.3 + 0.1j
     assert com.total_mass == 2.0
+    # Int inputs come back in the disk's stored form, a complex, also
+    # from a system whose column holds the caller's int.
+    for system in (disk_system([2], [0], 1), MassedSystem((2.0,), (0,), 1)):
+        center = com_disk(system).center
+        assert type(center) is complex and repr(center) == "0j"
 
 
 def test_com_disk_antipodal_pair():
@@ -289,6 +308,9 @@ def test_com_disk_conjugation_equivariance():
 def test_com_hyperboloid_single_exact():
     p = unproject(0.2 + 0.3j, 1.0)
     assert com_hyperboloid([1.5], [p], 1.0) == p
+    # Int coordinates come back in the sheet's stored form, an HPoint of floats.
+    center = com_hyperboloid([1], [(0, 0, 1)], 1)
+    assert repr(center) == "HPoint(x=0.0, y=0.0, z=1.0)"
 
 
 def test_com_hyperboloid_symmetric_pair_at_pole():

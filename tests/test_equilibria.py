@@ -91,6 +91,12 @@ def test_balance_radius_where_a_side_underflows():
         balance_radius(5e-324, 1e308, 0.5, 1.0)
 
 
+def test_balance_radius_where_every_side_underflows():
+    # alpha / R rounds v(alpha) to 0, so both lever sides read 0 at r = 0.
+    with pytest.raises(NumericalError, match="cannot reproduce"):
+        balance_radius(1.0, 1.0, 5e-324, 3.0)
+
+
 @pytest.mark.parametrize("mass, alpha, partner", [(1e308, 0.9, 0.5), (5e-324, 0.5, 0.4)])
 def test_two_body_equilibrium_rejects_extreme_masses_off_balance(mass, alpha, partner):
     # Both were accepted: the sides overflowed to inf, or rounded to one subnormal.
@@ -179,6 +185,42 @@ def test_diametric_system_balances():
     s1 = arclength_from_pole(0.5, 1.0)
     s2 = arclength_from_pole(PARTNER_12, 1.0)
     assert abs(1.0 * s1 - 2.0 * s2) <= 1e-10
+
+
+def _raises_alike(expected, got, *args):
+    """got(*args) raises the same error type and message as expected(*args)."""
+    with pytest.raises(Exception) as first:
+        expected(*args)
+    with pytest.raises(type(first.value)) as second:
+        got(*args)
+    assert str(second.value) == str(first.value)
+
+
+@pytest.mark.parametrize("index, bad", [
+    (0, 0.0), (0, -1.0), (0, math.nan), (0, "x"), (0, None),
+    (1, 0.0), (1, math.inf), (1, "x"),
+    (2, 0.0), (2, -0.5), (2, 1.0), (2, math.nan), (2, "x"),
+    (3, 0.0), (3, 0.4), (3, math.inf), (3, 1e101), (3, "x"),
+])
+def test_diametric_system_raises_as_balance_radius(index, bad):
+    args = [1.0, 2.0, 0.5, 1.0]
+    args[index] = bad
+    _raises_alike(balance_radius, diametric_system, *args)
+
+
+def test_diametric_system_raises_as_balance_radius_past_the_doubles():
+    _raises_alike(balance_radius, diametric_system, 1e-320, 1e300, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("index, bad", [
+    (0, (1.0, 2.0)), (0, (1.0, 0.0, 1.0)), (0, (1.0, math.nan, 1.0)), (0, (1.0, "x", 1.0)),
+    (1, (-0.3, 0.1)), (1, (-0.3, 1.0, 0.5)), (1, (-0.3, math.nan, 0.5)), (1, (None, 0.1, 0.5)),
+    (2, 0.0), (2, 0.4), (2, math.nan), (2, "x"),
+])
+def test_eulerian_triple_raises_as_line_system(index, bad):
+    args = [(1.0, 2.0, 1.0), (-0.3, 0.1, 0.5), 1.0]
+    args[index] = bad
+    _raises_alike(line_system, eulerian_triple, *args)
 
 
 def test_diametric_system_equal_masses():

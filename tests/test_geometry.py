@@ -555,6 +555,14 @@ def test_geodesic_degenerate_raises():
         geodesic_between(0.25 + 0.25j, 0.25 + 0.25j, 1.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 20.0, -0.5, 1.0 + 1e-15])
+def test_geodesic_point_off_the_segment_raises(t):
+    # point(nan) was nan+nanj, and point(20) a point outside the disk.
+    seg = geodesic_between(0.5, -0.3 + 0.2j, 1.0)
+    with pytest.raises(ValidationError, match=r"geodesic parameter must be in \[0, 1\]"):
+        seg.point(t)
+
+
 def test_geodesic_segment_fields():
     seg = geodesic_between(0.1 + 0j, 0.2 + 0j, 1.0)
     assert isinstance(seg, GeodesicSegment)

@@ -54,7 +54,7 @@ from hypercom import (
     uniform_angles,
     unproject,
 )
-from hypercom.barycenter import DISK, _center
+from hypercom.barycenter import DISK, _centers
 from hypercom.geometry import _asinh_ratio, _cosh_sinh, _sheet_point, _step
 
 from oracles import (
@@ -152,7 +152,7 @@ def test_rotation_sweep_equals_per_angle_rebuild(system, count):
         assert repr(second) == repr(turned)
         rot = -cmath.exp(1j * first.angle)
         points = [w * rot for w in system.position_column]
-        mean, center = _center(DISK, system.mass_column, system.total_mass, points, system.radius)
+        mean, center = _centers(DISK, system.mass_column, system.total_mass, points, system.radius)[0]
         assert (center, mean) == (second.com.center, second.com.log_ratio_mean)
     assert [s.angle for s in sweep.samples] == grid
     assert sweep.max_defect == max(s.defect for s in sweep.samples)
