@@ -5,10 +5,10 @@ conformal disk) and the projection between them; barycenter computes
 centers of mass by averaging in the coordinate 2 atanh(w/R) and by
 the closed-form two-body lever point; karcher provides the independent
 Riemannian barycenter, found by recentered Newton steps, used to
-cross-check; equilibria builds balanced two- and three-body
-configurations and measures how the center behaves under rigid
-rotation.  The cli module wraps everything behind ``hypercom`` /
-``python -m hypercom``.
+cross-check; equilibria certifies the balanced two-body pair, builds
+the mirror pair and the three-body triples as (system, center) and
+measures how the center behaves under rigid rotation.  The cli module
+wraps everything behind ``hypercom`` / ``python -m hypercom``.
 """
 
 from .barycenter import (
@@ -37,10 +37,8 @@ from .equilibria import (
     BalanceVerdict,
     RotationSample,
     RotationSweep,
-    TripleConfig,
     TwoBodyEquilibrium,
     balance_radius,
-    balanced_pair,
     classify_balance,
     diametric_system,
     eulerian_triple,
@@ -96,13 +94,11 @@ __all__ = [
     "RotationSample",
     "RotationSweep",
     "TangentVector",
-    "TripleConfig",
     "TwoBodyEquilibrium",
     "ValidationError",
     "arc_between",
     "arclength_from_pole",
     "balance_radius",
-    "balanced_pair",
     "classify_balance",
     "com_disk",
     "com_euclidean",

@@ -29,8 +29,8 @@ the one-column case.  The public centers, the rotation sweep, the
 Eulerian triple and the CLI reports all call it.
 Its particles are checked in one place, by MassedSystem, against the
 one table _MODELS of each model's stored form and checks: the system
-builders, com_hyperboloid and the triples build one, and the kernel
-trusts what it reads.
+builders, com_hyperboloid and each triple build exactly one, and the
+kernel trusts what it reads.
 
 Whether the same point satisfies the geodesic lever rule for generic
 (non-diametric) configurations is deliberately not assumed here; the

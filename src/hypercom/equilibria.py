@@ -23,14 +23,15 @@ evaluated angles go to the center kernel in one call, with the
 arithmetic and the bits of one call per angle.  The same spirit applies
 to the three-body collinear and equilateral constructions and to the
 mirror-symmetric pair, whose center provably stays on the imaginary
-axis (the geodesic fixed by x -> -x).
+axis (the geodesic fixed by x -> -x).  Each of these builds and
+validates one system and returns it with its center.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .barycenter import (
@@ -60,9 +61,6 @@ EQUALITY_RTOL = 1e-12
 
 # Rotation sweeps default to this many uniform angles in [0, 2*pi).
 SWEEP_ANGLES = 64
-
-EULERIAN = "eulerian"
-LAGRANGIAN = "lagrangian"
 
 
 def balance_radius(m1: float, m2: float, alpha: float, radius: float) -> float:
@@ -130,7 +128,12 @@ def _balanced(m1: float, v1: float, m2: float, v2: float) -> bool:
 
 @dataclass(frozen=True)
 class TwoBodyEquilibrium:
-    """Diametric two-body configuration satisfying the lever balance."""
+    """Diametric two-body configuration satisfying the lever balance.
+
+    The balanced pair for m1 at alpha is
+    TwoBodyEquilibrium(m1, m2, alpha, balance_radius(m1, m2, alpha, R), R).
+    Construction keeps the checked floats of every field.
+    """
 
     m1: float
     m2: float
@@ -140,28 +143,19 @@ class TwoBodyEquilibrium:
 
     def __post_init__(self):
         radius = check_radius(self.radius)
-        check_mass(self.m1)
-        check_mass(self.m2)
-        check_interval_point(self.alpha, radius)
-        check_interval_point(self.partner_radius, radius)
-        v1, v2 = (_line_coordinate(u, radius) for u in (self.alpha, self.partner_radius))
-        if not _balanced(self.m1, v1, self.m2, v2):
+        m1, m2 = check_mass(self.m1), check_mass(self.m2)
+        alpha, partner = (
+            check_interval_point(u, radius) for u in (self.alpha, self.partner_radius)
+        )
+        v1, v2 = (_line_coordinate(u, radius) for u in (alpha, partner))
+        if not _balanced(m1, v1, m2, v2):
             raise ValidationError(
                 f"radii ({self.alpha!r}, {self.partner_radius!r}) do not "
                 f"satisfy the lever balance for masses "
                 f"({self.m1!r}, {self.m2!r})"
             )
-
-
-def balanced_pair(m1, m2, alpha, radius) -> TwoBodyEquilibrium:
-    """Construct the balanced diametric pair for m1 at radius alpha."""
-    return TwoBodyEquilibrium(
-        m1=float(m1),
-        m2=float(m2),
-        alpha=float(alpha),
-        partner_radius=balance_radius(m1, m2, alpha, radius),
-        radius=float(radius),
-    )
+        for f, value in zip(fields(self), (m1, m2, alpha, partner, radius)):
+            object.__setattr__(self, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -262,59 +256,23 @@ def rotation_sweep(system: MassedSystem, count: int = SWEEP_ANGLES) -> RotationS
     )
 
 
-@dataclass(frozen=True)
-class TripleConfig:
-    """Three-body configuration: collinear on a diameter, or equilateral."""
-
-    kind: str
-    masses: tuple[float, float, float]
-    positions: tuple[complex, complex, complex]
-    radius: float
-
-    def __post_init__(self):
-        if len(self.masses) != 3 or len(self.positions) != 3:
-            raise ValidationError("a triple needs exactly three masses and positions")
-        radius = disk_system(self.masses, self.positions, self.radius).radius
-        if self.kind == EULERIAN:
-            if any(p.imag != 0.0 for p in self.positions):
-                raise ValidationError(
-                    "collinear triple must lie on the real diameter"
-                )
-        elif self.kind == LAGRANGIAN:
-            side = abs(self.positions[0])
-            rot = cmath.exp(2j * math.pi / 3.0)
-            if (
-                abs(self.positions[1] - self.positions[0] * rot)
-                > 1e-9 * max(side, radius)
-                or abs(self.positions[2] - self.positions[1] * rot)
-                > 1e-9 * max(side, radius)
-            ):
-                raise ValidationError(
-                    "equilateral triple must be a point orbit under rotation "
-                    "by 2*pi/3"
-                )
-            if max(self.masses) - min(self.masses) > 1e-12 * max(self.masses):
-                raise ValidationError("equilateral triple needs equal masses")
-        else:
-            raise ValidationError(f"unknown triple kind {self.kind!r}")
-
-
-def eulerian_triple(masses, positions, radius) -> tuple[TripleConfig, CenterOfMass]:
+def eulerian_triple(masses, positions, radius) -> tuple[MassedSystem, CenterOfMass]:
     """Collinear three-body configuration on the real diameter.
 
-    The center comes from the 1D averaging formula; the configuration
-    is balanced exactly when the averaged coordinate vanishes.
+    The system is a line system, so its positions are real.  The center
+    comes from the 1D averaging formula; the configuration is balanced
+    exactly when the averaged coordinate vanishes.
     """
     system = line_system(masses, positions, radius)
+    if len(system.mass_column) != 3:
+        raise ValidationError("a triple needs exactly three masses and positions")
     mean, center = _system_center(system)
-    positions = tuple(map(complex, system.position_column))
-    config = TripleConfig(EULERIAN, system.mass_column, positions, system.radius)
-    return config, CenterOfMass(
+    return system, CenterOfMass(
         center=complex(center), log_ratio_mean=mean, total_mass=system.total_mass
     )
 
 
-def lagrangian_triple(side, radius) -> tuple[TripleConfig, CenterOfMass]:
+def lagrangian_triple(side, radius) -> tuple[MassedSystem, CenterOfMass]:
     """Unit masses at the vertices of an origin-centered equilateral triangle.
 
     Positions are side * {1, e^(2 pi i/3), e^(4 pi i/3)}.  The product
@@ -327,15 +285,9 @@ def lagrangian_triple(side, radius) -> tuple[TripleConfig, CenterOfMass]:
     side = float(side)
     if not 0.0 < side < radius:
         raise ValidationError(f"triangle radius must be in (0, R), got {side!r}")
-    positions = tuple(
-        side * cmath.exp(2j * math.pi * k / 3.0) for k in range(3)
-    )
-    masses = (1.0, 1.0, 1.0)
-    config = TripleConfig(
-        kind=LAGRANGIAN, masses=masses, positions=positions, radius=radius
-    )
-    system = disk_system(masses, positions, radius)
-    return config, com_disk(system)
+    positions = [side * cmath.exp(2j * math.pi * k / 3.0) for k in range(3)]
+    system = disk_system((1.0, 1.0, 1.0), positions, radius)
+    return system, com_disk(system)
 
 
 def mirror_pair(mass, position, radius) -> tuple[MassedSystem, CenterOfMass]:

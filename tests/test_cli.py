@@ -257,6 +257,29 @@ def test_equilibrium_equal_masses():
     assert report["results"]["relation"] == "equal"
 
 
+HUGE_LEVER = ("--m1", "1e300", "--m2", "1e300", "--alpha", "5e99", "--radius", "1e100")
+
+
+def test_equilibrium_report_past_the_doubles_is_a_numerical_failure():
+    # The pair is certified, but its lever sides m R v are about 1.1e400
+    # and the residual's tolerance, 1e-12 of them, is past the doubles too.
+    done = run_cli("equilibrium", *HUGE_LEVER)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert "JSON cannot carry" in done.stderr
+
+
+def test_equilibrium_trace_past_the_doubles_is_reported():
+    # The CSV trace never forms the lever sides.
+    done = run_cli("equilibrium", *HUGE_LEVER, "--format", "csv")
+    assert done.returncode == 0
+    assert done.stderr == ""
+    rows = done.stdout.splitlines()[1:]
+    assert len(rows) == 64
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
 def test_limit_sweep_csv(tmp_path):
     path = write_system(
         tmp_path / "pts.json", 1.0, "disk", [(1.0, (0.3, 0.0)), (1.0, (0.5, 0.0))]

@@ -1,6 +1,7 @@
 """Balanced configurations, the radius trichotomy and rotation sweeps."""
 
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -8,13 +9,12 @@ import numpy as np
 import pytest
 
 from hypercom import (
+    MassedSystem,
     NumericalError,
-    TripleConfig,
     TwoBodyEquilibrium,
     ValidationError,
     arclength_from_pole,
     balance_radius,
-    balanced_pair,
     classify_balance,
     com_line,
     diametric_system,
@@ -159,10 +159,19 @@ def test_trichotomy_random():
 
 
 def test_two_body_equilibrium_invariant():
-    pair = balanced_pair(1.0, 2.0, 0.5, 1.0)
+    pair = TwoBodyEquilibrium(1.0, 2.0, 0.5, balance_radius(1.0, 2.0, 0.5, 1.0), 1.0)
     assert pair.partner_radius == pytest.approx(PARTNER_12, rel=1e-14)
     with pytest.raises(ValidationError):
         TwoBodyEquilibrium(m1=1.0, m2=2.0, alpha=0.5, partner_radius=0.3, radius=1.0)
+
+
+@pytest.mark.parametrize("number", [int, np.float64])
+def test_two_body_equilibrium_keeps_the_checked_floats(number):
+    # The fields kept the caller's ints, as a system kept its radius.
+    r = balance_radius(1.0, 2.0, 0.5, 1.0)
+    pair = TwoBodyEquilibrium(number(1), number(2), np.float64(0.5), r, number(1))
+    assert pair == TwoBodyEquilibrium(1.0, 2.0, 0.5, r, 1.0)
+    assert [type(v) for v in dataclasses.astuple(pair)] == [float] * 5
 
 
 @pytest.mark.parametrize("outside", [2.0, 1.0, math.nan, math.inf])
@@ -296,15 +305,15 @@ def test_sweep_checks_the_model_then_the_angles_then_their_count():
 
 def test_eulerian_symmetric_triples_balance():
     for masses in ((1.0, 1.0, 1.0), (1.0, 2.0, 1.0)):
-        config, com = eulerian_triple(masses, (-0.5, 0.0, 0.5), 1.0)
-        assert config.kind == "eulerian"
+        system, com = eulerian_triple(masses, (-0.5, 0.0, 0.5), 1.0)
+        assert system.model == "line"
         assert abs(com.center) <= 1e-15
         assert abs(com.log_ratio_mean) <= 1e-15
 
 
 def test_eulerian_generic_triple_value():
     # Frozen from 50-digit evaluation of the averaged coordinate.
-    config, com = eulerian_triple((2.0, 1.0, 1.0), (-0.3, 0.1, 0.5), 1.0)
+    _, com = eulerian_triple((2.0, 1.0, 1.0), (-0.3, 0.1, 0.5), 1.0)
     assert com.center.real == pytest.approx(0.007650421652432500, abs=1e-14)
     assert com.center.real == pytest.approx(
         com_line_bisection([2.0, 1.0, 1.0], [-0.3, 0.1, 0.5], 1.0), abs=1e-12
@@ -317,57 +326,28 @@ def test_eulerian_generic_triple_value():
 def test_eulerian_validation():
     with pytest.raises(ValidationError):
         eulerian_triple((1.0, 1.0), (-0.5, 0.5), 1.0)
-    with pytest.raises(ValidationError):
-        TripleConfig(
-            kind="eulerian",
-            masses=(1.0, 1.0, 1.0),
-            positions=(0.1 + 0.2j, 0.3 + 0j, -0.4 + 0j),
-            radius=1.0,
-        )
 
 
 @pytest.mark.parametrize(
     "masses, positions",
     [
-        ((1.0, 1.0), (0j, 0.1 + 0j)),
-        ((1.0, 1.0, 1.0), (0j, 0.1 + 0j)),
-        ((1.0, 1.0, 1.0, 1.0), (0j, 0.1 + 0j, -0.1 + 0j, 0.2 + 0j)),
+        ((1.0, 1.0), (0.0, 0.1)),
+        ((1.0, 1.0, 1.0), (0.0, 0.1)),
+        ((1.0, 1.0, 1.0, 1.0), (0.0, 0.1, -0.1, 0.2)),
     ],
 )
 def test_triple_needs_exactly_three_particles(masses, positions):
-    # Two particles, and three masses with two positions, were accepted.
-    with pytest.raises(ValidationError, match="exactly three"):
-        TripleConfig(kind="eulerian", masses=masses, positions=positions, radius=1.0)
-
-
-def test_triple_rejects_a_broken_orbit_and_an_unknown_kind():
-    orbit = tuple(0.5 * cmath.exp(2j * math.pi * k / 3.0) for k in range(3))
-    with pytest.raises(ValidationError, match="point orbit under rotation"):
-        TripleConfig(
-            kind="lagrangian",
-            masses=(1.0, 1.0, 1.0),
-            positions=(orbit[0], orbit[2], orbit[1]),
-            radius=1.0,
-        )
-    with pytest.raises(ValidationError, match="unknown triple kind 'trojan'"):
-        TripleConfig(kind="trojan", masses=(1.0, 1.0, 1.0), positions=orbit, radius=1.0)
-
-
-def test_triple_checks_particles_in_order():
-    # The system's walk: the first particle's bad position comes before
-    # the second particle's bad mass.
-    with pytest.raises(ValidationError, match="not inside the disk"):
-        TripleConfig(
-            kind="eulerian",
-            masses=(1.0, -1.0, 1.0),
-            positions=(2.0 + 0j, 0j, 0.1 + 0j),
-            radius=1.0,
-        )
+    # Two and four particles were accepted.  Three masses for two
+    # positions fail the line system's count check, which comes first.
+    count = f"{len(masses)} masses for {len(positions)} positions"
+    expected = "exactly three" if len(masses) == len(positions) else count
+    with pytest.raises(ValidationError, match=expected):
+        eulerian_triple(masses, positions, 1.0)
 
 
 def test_lagrangian_value_and_mean_identity():
-    config, com = lagrangian_triple(0.5, 1.0)
-    assert config.kind == "lagrangian"
+    system, com = lagrangian_triple(0.5, 1.0)
+    assert system.model == "disk"
     # Frozen from 50-digit arithmetic: tanh(log(1.125 / 0.875) / 6).
     assert com.center.real == pytest.approx(0.04186126023461038, abs=1e-10)
     assert abs(com.center.imag) <= 1e-15
@@ -402,13 +382,31 @@ def test_lagrangian_validation():
         lagrangian_triple(0.0, 1.0)
     with pytest.raises(ValidationError):
         lagrangian_triple(1.0, 1.0)
-    with pytest.raises(ValidationError):
-        TripleConfig(
-            kind="lagrangian",
-            masses=(1.0, 2.0, 1.0),
-            positions=tuple(0.5 * cmath.exp(2j * math.pi * k / 3.0) for k in range(3)),
-            radius=1.0,
-        )
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (eulerian_triple, ((2.0, 1.0, 1.0), (-0.3, 0.1, 0.5), 1.0)),
+        (lagrangian_triple, (0.5, 1.0)),
+        (mirror_pair, (1.0, 0.3 + 0.2j, 1.0)),
+        (diametric_system, (1.0, 2.0, 0.5, 1.0)),
+    ],
+    ids=lambda value: getattr(value, "__name__", "args"),
+)
+def test_each_builder_validates_one_system(monkeypatch, build, args):
+    # Each triple validated its particles twice: once for its config's
+    # own disk system, once for the system its center came from.
+    validated = []
+    post_init = MassedSystem.__post_init__
+
+    def counted(system):
+        validated.append(system.model)
+        post_init(system)
+
+    monkeypatch.setattr(MassedSystem, "__post_init__", counted)
+    build(*args)
+    assert len(validated) == 1
 
 
 # --- mirror pairs ---------------------------------------------------------------
