@@ -42,7 +42,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import islice, repeat
+from operator import add, attrgetter, mul, truediv
 from typing import NamedTuple
 
 from .errors import NumericalError, ValidationError
@@ -280,13 +281,13 @@ def _centers(model: str, masses, total: float, positions, radius: float):
     ``positions`` holds columns of len(masses) points back to back (one
     for a system, one per angle for a rotation sweep), all with the
     masses ``masses`` and their exact sum ``total``.  One pass reads the
-    coordinates of every column; then each column's mean is formed and
-    mapped back, and a single particle is its own center, in its
-    model's stored form.  The line (no imaginary column) and the disk
-    read and map back h = v / 2 by the geometry kernels and double the
-    mean into v, exactly; the sheet reads v = a + ib from x and y (z is
-    never read).  A sheet mean whose b rounds to +-pi/2, or whose point
-    overflows, is a NumericalError.
+    coordinates of every column; then mapped passes form the means of
+    all columns and map them back, and a single particle is its own
+    center, in its model's stored form.  The line (no imaginary column)
+    and the disk read and map back h = v / 2 by the geometry kernels and
+    double the mean into v, exactly; the sheet reads v = a + ib from x
+    and y (z is never read).  A sheet mean whose b rounds to +-pi/2, or
+    whose point overflows, is a NumericalError.
     """
     n = len(masses)
     if model == DISK:
@@ -300,27 +301,46 @@ def _centers(model: str, masses, total: float, positions, radius: float):
         # x / rho passes the double range for points past 710R at R < 1.
         if not math.isfinite(sum(re)):
             re = [_asinh_ratio(x, math.hypot(radius, y)) for x, y, _ in positions]
-    results = []
-    for k in range(0, len(positions), n):
-        column_re, column_im = re[k:k + n], im and im[k:k + n]
-        if n == 1:
-            mean = complex(column_re[0], 0.0 if column_im is None else column_im[0])
-            center = _MODELS[model][0](positions[k])
-        elif model == HYPERBOLOID:
-            mean = _mean(masses, total, column_re, column_im)
-            y = radius * math.tan(mean.imag)
-            z, x = _cosh_sinh(math.hypot(radius, y), mean.real)
-            if not abs(mean.imag) < 0.5 * math.pi or z == math.inf:
-                raise NumericalError("the mean coordinate names no representable sheet point")
-            center = HPoint(x, y, z)
-        else:
-            mean = _mean(masses, total, column_re, column_im)
-            center = _disk_point(mean, radius)
-            center = center.real if model == LINE else center
-        if model != HYPERBOLOID:
-            mean = complex(2.0 * mean.real, 2.0 * mean.imag)
-        results.append((mean, center))
-    return results
+    if n == 1:
+        means = list(map(complex, re, im or repeat(0.0)))
+        centers = map(_MODELS[model][0], positions)
+    else:
+        means = _means(masses, total, re, im, len(re) // n)
+        point = _sheet_center if model == HYPERBOLOID else _disk_point
+        centers = map(point, means, repeat(radius))
+        centers = map(attrgetter("real"), centers) if model == LINE else centers
+    if model != HYPERBOLOID:
+        means = map(add, means, means)
+    return list(zip(means, centers))
+
+
+def _sheet_center(mean: complex, radius: float) -> HPoint:
+    y = radius * math.tan(mean.imag)
+    z, x = _cosh_sinh(math.hypot(radius, y), mean.real)
+    if not abs(mean.imag) < 0.5 * math.pi or z == math.inf:
+        raise NumericalError("the mean coordinate names no representable sheet point")
+    return HPoint(x, y, z)
+
+
+def _means(masses, total: float, re, im, columns: int) -> list[complex]:
+    """_mean of each column of len(masses) values; several go in mapped passes."""
+    n = len(masses)
+    if columns == 1:
+        return [_mean(masses, total, re, im)]
+
+    def column_means(values):
+        terms = map(mul, masses * columns, values)
+        sums = map(math.fsum, map(islice, repeat(terms), repeat(n, columns)))
+        return map(truediv, sums, repeat(total))
+
+    try:  # fsum raises past the double range, or over +-inf products
+        imag = repeat(0.0) if im is None else column_means(im)
+        means = list(map(complex, column_means(re), imag))
+        if all(map(cmath.isfinite, means)):
+            return means
+    except (OverflowError, ValueError):
+        pass  # some column overflows: _mean redoes each, with its bits
+    return [_mean(masses, total, re[k:k + n], im and im[k:k + n]) for k in range(0, len(re), n)]
 
 
 def _mean(masses, total: float, re, im=None) -> complex:

@@ -18,13 +18,14 @@ exact sums and cmath.tanh are odd bit for bit.  So for an even count
 rotation_sweep evaluates only the first half of its uniform grid;
 sample k + N/2 is sample k turned by pi, its center and mean negated
 and its defect the same float.  An odd count evaluates every angle.
-Either way a sweep is one pass over its rotated columns: those of all
-evaluated angles go to the center kernel in one call, with the
-arithmetic and the bits of one call per angle.  The same spirit applies
-to the three-body collinear and equilateral constructions and to the
-mirror-symmetric pair, whose center provably stays on the imaginary
-axis (the geodesic fixed by x -> -x).  Each of these builds and
-validates one system and returns it with its center.
+The rotated columns of all evaluated angles go to the center kernel in
+one call, with the bits of a call per angle.  Turning by 1 + 0j changes
+at most the sign of a zero, and fsum reads a zero sum as +0.0, so for
+two or more particles angle 0 is the base center, bit for bit.  The
+same spirit applies to the three-body collinear and equilateral
+constructions and to the mirror-symmetric pair, whose center provably
+stays on the imaginary axis (the geodesic fixed by x -> -x).  Each of
+these builds and validates one system and returns it with its center.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import index, mul, neg, sub
 from typing import NamedTuple
 
 from .barycenter import (
@@ -39,6 +42,7 @@ from .barycenter import (
     CenterOfMass,
     MassedSystem,
     _centers,
+    _require_model,
     _system_center,
     check_mass,
     com_disk,
@@ -216,8 +220,14 @@ class RotationSweep:
 
 
 def uniform_angles(count: int) -> list[float]:
-    """The uniform grid 2 pi k / count, k = 0, ..., count - 1."""
-    return [2.0 * math.pi * k / count for k in range(count)]
+    """The uniform grid 2 pi k / count, k = 0, ..., count - 1, for an integer count >= 1."""
+    try:
+        n = index(count)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValidationError(f"a rotation sweep needs at least one angle, got count {count!r}")
+    return [2.0 * math.pi * k / n for k in range(n)]
 
 
 def rotation_sweep(system: MassedSystem, count: int = SWEEP_ANGLES) -> RotationSweep:
@@ -230,30 +240,25 @@ def rotation_sweep(system: MassedSystem, count: int = SWEEP_ANGLES) -> RotationS
     and the second is the first turned by pi (see the module docstring);
     an odd count evaluates every angle.
     """
-    base = com_disk(system)
-    if count < 1:
-        raise ValidationError("a rotation sweep needs at least one angle")
+    _require_model(system, DISK)
     angles = uniform_angles(count)
-    evaluated = count // 2 if count % 2 == 0 else count
-    total = base.total_mass
+    evaluated = len(angles) // 2 if len(angles) % 2 == 0 else len(angles)
+    masses, total = system.mass_column, system.total_mass
     rots = [cmath.exp(1j * angle) for angle in angles[:evaluated]]
     rotated = [w * rot for rot in rots for w in system.position_column]
-    centers = _centers(DISK, system.mass_column, total, rotated, system.radius)
-    samples = [
-        RotationSample(angle, CenterOfMass(c, mean, total), abs(c - base.center * rot))
-        for angle, rot, (mean, c) in zip(angles, rots, centers)
-    ]
-    # Sample k + N/2 is on the points of sample k turned by exactly -1.
-    samples += [
-        RotationSample(angle, CenterOfMass(-c, -mean, total), defect)
-        for angle, (_, (c, mean, _), defect) in zip(angles[evaluated:], samples)
-    ]
-    return RotationSweep(
-        base=base,
-        samples=tuple(samples),
-        max_defect=max(s.defect for s in samples),
-        max_center_abs=max(abs(s.com.center) for s in samples),
-    )
+    means, centers = zip(*_centers(DISK, masses, total, rotated, system.radius))
+    base = CenterOfMass(centers[0], means[0], total) if len(masses) > 1 else com_disk(system)
+    defects = list(map(abs, map(sub, centers, map(mul, repeat(base.center), rots))))
+    max_defect, max_center_abs = max(defects), max(map(abs, centers))
+    if evaluated < len(angles):
+        # Sample k + N/2 is on the points of sample k turned by exactly -1.
+        means, centers = (*means, *map(neg, means)), (*centers, *map(neg, centers))
+        defects *= 2
+    # tuple.__new__ builds each record as the NamedTuple's own __new__ does,
+    # without a Python call per record.
+    coms = map(tuple.__new__, repeat(CenterOfMass), zip(centers, means, repeat(total)))
+    samples = tuple(map(tuple.__new__, repeat(RotationSample), zip(angles, coms, defects)))
+    return RotationSweep(base, samples, max_defect, max_center_abs)
 
 
 def eulerian_triple(masses, positions, radius) -> tuple[MassedSystem, CenterOfMass]:

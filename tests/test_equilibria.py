@@ -24,6 +24,7 @@ from hypercom import (
     line_system,
     mirror_pair,
     rotation_sweep,
+    uniform_angles,
     unproject,
 )
 
@@ -289,6 +290,24 @@ def test_sweep_rejects_empty_angle_list():
     for count in (0, -1):
         with pytest.raises(ValidationError, match="at least one angle"):
             rotation_sweep(system, count)
+
+
+@pytest.mark.parametrize("count", [2.5, "4", 0, None])
+def test_sweep_and_grid_take_an_integer_count_of_at_least_one(count):
+    # 2.5 and "4" raised a raw TypeError, "4" only after the base center
+    # was computed, and uniform_angles(0) returned an empty grid.
+    system = diametric_system(1.0, 2.0, 0.5, 1.0)
+    with pytest.raises(ValidationError, match="at least one angle"):
+        uniform_angles(count)
+    with pytest.raises(ValidationError, match="at least one angle"):
+        rotation_sweep(system, count)
+
+
+def test_sweep_count_is_read_by_operator_index():
+    system = diametric_system(1.0, 2.0, 0.5, 1.0)
+    assert uniform_angles(np.int64(4)) == uniform_angles(4)
+    assert all(type(angle) is float for angle in uniform_angles(np.int64(4)))
+    assert rotation_sweep(system, np.int64(5)) == rotation_sweep(system, 5)
 
 
 def test_sweep_checks_the_model_then_the_angles_then_their_count():

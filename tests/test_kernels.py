@@ -9,7 +9,9 @@ so agreement is exact equality, not a tolerance.  On an even uniform
 grid rotation_sweep evaluates only the first half and turns it by pi:
 that half is held to the reference exactly, the second half to the
 exact half turn of the first, and every sample to the high-precision
-center within a stated bound.
+center within a stated bound.  For two or more particles the sweep
+reads its base from angle 0, held to com_disk bit for bit, and a batch
+whose sums overflow in some columns to the pair rebuilt per angle.
 com_hyperboloid averages the band coordinate in the sheet's own x and y
 instead of going through the disk, so its centers are held to the
 high-precision center within a stated bound, and its errors to the
@@ -21,6 +23,7 @@ reference bisects, so those agree with their references within rounding.
 
 import cmath
 import math
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -50,6 +53,7 @@ from hypercom import (
     lever_point,
     line_system,
     project,
+    rotate_disk,
     rotation_sweep,
     uniform_angles,
     unproject,
@@ -176,6 +180,70 @@ def test_one_particle_sweep_equals_per_angle_rebuild(angles, evaluated):
         assert repr(second.com) == repr(turned)
         assert second.defect == first.defect == 0.0
     assert sweep.max_defect == 0.0
+
+
+def _rebuilt_center(system, angle):
+    """com_disk of the system rebuilt with every point turned by the angle."""
+    points = [rotate_disk(w, angle) for w in system.position_column]
+    return com_disk(disk_system(system.mass_column, points, system.radius))
+
+
+def _overflowing_columns(system, angles):
+    """Angles whose unscaled sums of m h overflow (the rescaled columns)."""
+    masses, total = system.mass_column, system.total_mass
+    bad = 0
+    for angle in angles:
+        halves = [cmath.atanh(rotate_disk(w, angle) / system.radius) for w in system.position_column]
+        try:
+            sums = [math.fsum(map(mul, masses, part)) for part in zip(*((h.real, h.imag) for h in halves))]
+            bad += not all(math.isfinite(s / total) for s in sums)
+        except OverflowError:
+            bad += 1
+    return bad
+
+
+@pytest.mark.parametrize(
+    "masses, points, overflowing",
+    [
+        ((8e307, 8e307), (0.9, -0.9), 0),
+        ((1.5e308, 1e307), (0.9, -0.9), 3),
+        ((8e307, 8e307), (0.9, 0.5j), 0),
+    ],
+)
+def test_sweep_batch_rescales_only_its_overflowing_columns(masses, points, overflowing):
+    # Masses at the top of the double range.  In the second pair some
+    # columns of the batch overflow and are rescaled, and the others are
+    # not; rotation_sweep_reference sums without rescaling, so each
+    # evaluated sample is held to the pair rebuilt at its angle instead.
+    system = disk_system(masses, points, 1.0)
+    sweep = rotation_sweep(system)
+    evaluated = sweep.samples[:32]
+    assert _overflowing_columns(system, [s.angle for s in evaluated]) == overflowing
+    for sample in evaluated:
+        assert repr(sample.com) == repr(_rebuilt_center(system, sample.angle))
+
+
+@pytest.mark.parametrize(
+    "masses, points",
+    [
+        ((1.0, 2.0), (complex(-0.0, -0.3), complex(-0.0, -0.2))),
+        ((1.0, 2.0), (complex(0.4, -0.0), complex(0.3, -0.0))),
+        ((1.0, 1.0), (0.5j, complex(-0.0, 0.5))),
+        ((2.0,), (complex(-0.0, -0.3),)),
+        ((2.0,), (complex(0.4, -0.0),)),
+    ],
+)
+def test_sweep_angle_zero_and_base_keep_their_bits(masses, points):
+    # Angle 0 turns each point by 1 + 0j, which flips the sign of these
+    # zeros.  For two or more particles the exact sums read every zero
+    # sum as +0.0, so the sweep reads its base from angle 0; a single
+    # particle is its own center, so its base is the unturned point.
+    system = disk_system(masses, points, 1.0)
+    for count in (1, 4):
+        sweep = rotation_sweep(system, count)
+        assert repr(sweep.base) == repr(com_disk(system))
+        assert repr(sweep.samples[0].com) == repr(_rebuilt_center(system, 0.0))
+        assert sweep.samples[0].defect == 0.0
 
 
 def test_center_and_sample_records_are_named_tuples():
