@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import add, attrgetter, mul, truediv
 from typing import NamedTuple
@@ -87,16 +86,47 @@ def check_mass(mass: float) -> float:
     return mass
 
 
-@dataclass(frozen=True)
-class Particle:
+class Particle(NamedTuple):
     """One massed particle; the position type depends on the model tag."""
 
     mass: float
     position: complex | float | HPoint
 
 
-@dataclass(frozen=True)
-class MassedSystem:
+class _Checked:
+    """Immutable record whose __init__ stores the fields, then checks them in __post_init__.
+
+    Equality, hash and repr read the fields named in _fields, in order;
+    a copy or pickle is rebuilt, and so checked, by __init__.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class MassedSystem(_Checked):
     """Nonempty ordered system of massed particles on one model at one radius.
 
     Stored as two columns of equal length: ``mass_column`` holds the
@@ -105,15 +135,21 @@ class MassedSystem:
     with line_system, disk_system or hyperboloid_system; construction
     validates the radius, the model tag and every particle, so the
     kernels that read the columns trust them, keeps the radius as the
-    checked float and sums the masses once into ``total_mass``.
+    checked float and sums the masses once into ``total_mass``, which
+    equality, hash and repr leave out.
     ``particles`` builds the per-particle view on request.
     """
 
-    mass_column: tuple[float, ...]
-    position_column: tuple
-    radius: float
-    model: str = DISK
-    total_mass: float = field(init=False, repr=False, compare=False)
+    _fields = ("mass_column", "position_column", "radius", "model")
+    __slots__ = (*_fields, "total_mass")
+
+    def __init__(self, mass_column, position_column, radius, model=DISK):
+        store = object.__setattr__
+        store(self, "mass_column", mass_column)
+        store(self, "position_column", position_column)
+        store(self, "radius", radius)
+        store(self, "model", model)
+        self.__post_init__()
 
     def __post_init__(self):
         radius = check_radius(self.radius)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import index, mul, neg, sub
 from typing import NamedTuple
@@ -41,6 +40,7 @@ from .barycenter import (
     DISK,
     CenterOfMass,
     MassedSystem,
+    _Checked,
     _centers,
     _require_model,
     _system_center,
@@ -130,8 +130,7 @@ def _balanced(m1: float, v1: float, m2: float, v2: float) -> bool:
     return abs(s1 - s2) <= EQUALITY_RTOL * max(abs(s1), abs(s2))
 
 
-@dataclass(frozen=True)
-class TwoBodyEquilibrium:
+class TwoBodyEquilibrium(_Checked):
     """Diametric two-body configuration satisfying the lever balance.
 
     The balanced pair for m1 at alpha is
@@ -139,11 +138,12 @@ class TwoBodyEquilibrium:
     Construction keeps the checked floats of every field.
     """
 
-    m1: float
-    m2: float
-    alpha: float
-    partner_radius: float
-    radius: float
+    __slots__ = _fields = ("m1", "m2", "alpha", "partner_radius", "radius")
+
+    def __init__(self, m1, m2, alpha, partner_radius, radius):
+        for name, value in zip(self._fields, (m1, m2, alpha, partner_radius, radius)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self):
         radius = check_radius(self.radius)
@@ -158,12 +158,11 @@ class TwoBodyEquilibrium:
                 f"satisfy the lever balance for masses "
                 f"({self.m1!r}, {self.m2!r})"
             )
-        for f, value in zip(fields(self), (m1, m2, alpha, partner, radius)):
-            object.__setattr__(self, f.name, value)
+        for name, value in zip(self._fields, (m1, m2, alpha, partner, radius)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass(frozen=True)
-class BalanceVerdict:
+class BalanceVerdict(NamedTuple):
     """Ordering of the balancing radius against alpha, checked against masses."""
 
     partner_radius: float
@@ -204,8 +203,7 @@ class RotationSample(NamedTuple):
     defect: float
 
 
-@dataclass(frozen=True)
-class RotationSweep:
+class RotationSweep(NamedTuple):
     """Center-of-mass trace of a rigidly rotated system.
 
     defect(theta) = |com(rotated system) - rotated com(system)|; zero

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NumericalError, ValidationError
@@ -403,8 +402,7 @@ def _disk_point(h: complex, radius: float) -> complex:
     return radius * cmath.tanh(h)
 
 
-@dataclass(frozen=True)
-class GeodesicSegment:
+class GeodesicSegment(NamedTuple):
     """Constant-speed geodesic from ``start`` to ``end`` in the disk model.
 
     point(0) is start, point(1) is end, and

@@ -37,7 +37,7 @@ rather than asserting anything about it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .barycenter import HYPERBOLOID, MassedSystem, _require_model
 from .errors import ConvergenceError, NumericalError, ValidationError
@@ -64,8 +64,7 @@ STALL_STEPS = 3
 MAX_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(NamedTuple):
     """Vector in the tangent plane of the sheet at ``base``.
 
     Tangency means Minkowski-orthogonality to the base point; such
@@ -168,8 +167,7 @@ def _ratio_coth(t: float) -> float:
     return t / math.tanh(t)
 
 
-@dataclass(frozen=True)
-class KarcherResult:
+class KarcherResult(NamedTuple):
     """Barycenter, the number of steps taken to it and its gradient norm."""
 
     point: HPoint

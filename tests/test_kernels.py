@@ -249,7 +249,7 @@ def test_sweep_angle_zero_and_base_keep_their_bits(masses, points):
 def test_center_and_sample_records_are_named_tuples():
     com = CenterOfMass(center=0.5 + 0.25j, log_ratio_mean=1 + 0.5j, total_mass=3.0)
     sample = RotationSample(angle=0.5, com=com, defect=0.125)
-    # The repr of the frozen dataclasses these records were.
+    # The repr these records had as frozen dataclasses, before they were NamedTuples.
     assert repr(sample) == (
         "RotationSample(angle=0.5, com=CenterOfMass(center=(0.5+0.25j), "
         "log_ratio_mean=(1+0.5j), total_mass=3.0), defect=0.125)"
