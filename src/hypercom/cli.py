@@ -12,7 +12,10 @@ Subcommands:
     project          hyperboloid point to disk coordinates
     unproject        disk point to hyperboloid coordinates
 
-Exit codes: 0 success, 1 invalid input, 2 numerical failure.  Output is
+Exit codes: 0 success, 1 invalid input or unwritable --output, 2 numerical
+failure.  Each subcommand returns its text, computed in full; main alone
+writes it, to stdout or, for com, equilibrium, limit-sweep and
+karcher-compare, to --output PATH with stdout left empty.  Output is
 deterministic: identical inputs give byte-identical reports.  Inputs are
 checked once, by the parser and by files.load_system (one read per file).
 main builds its parser once per process; build_parser returns a new one.
@@ -83,19 +86,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ValidationError(
-            f"cannot write output {output!r}: {exc.strerror or exc}"
-        ) from exc
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -110,7 +100,7 @@ def _pair(value: complex) -> list[float]:
     return [value.real, value.imag]
 
 
-def _cmd_com(args) -> int:
+def _cmd_com(args) -> str:
     system, digest = load_system(args.input)
     radius = system.radius
     mean, center = _system_center(system)
@@ -138,11 +128,10 @@ def _cmd_com(args) -> int:
             "on_surface_construct": TOL_CONSTRUCT,
         },
     }
-    _emit(report_text(report), args.output)
-    return EXIT_OK
+    return report_text(report)
 
 
-def _cmd_equilibrium(args) -> int:
+def _cmd_equilibrium(args) -> str:
     radius = args.radius
     verdict = classify_balance(args.m1, args.m2, args.alpha, radius)
     # The balanced pair at the partner radius classify_balance certified.
@@ -155,8 +144,7 @@ def _cmd_equilibrium(args) -> int:
         for s in sweep.samples
     ]
     if args.format == "csv":
-        _emit(csv_text(CSV_HEADER_SWEEP, rows), args.output)
-        return EXIT_OK
+        return csv_text(CSV_HEADER_SWEEP, rows)
     s1 = args.m1 * (radius * _line_coordinate(args.alpha, radius))
     s2 = args.m2 * (radius * _line_coordinate(verdict.partner_radius, radius))
     residual = s1 - s2
@@ -186,8 +174,7 @@ def _cmd_equilibrium(args) -> int:
         },
         "tolerances": {"radius_equality_rtol": EQUALITY_RTOL},
     }
-    _emit(report_text(report), args.output)
-    return EXIT_OK
+    return report_text(report)
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -200,7 +187,7 @@ def _parse_sweep(text: str) -> list[float]:
     return [check_radius(radius) for radius in radii]
 
 
-def _cmd_limit_sweep(args) -> int:
+def _cmd_limit_sweep(args) -> str:
     system, digest = load_system(args.input)
     radii = _parse_sweep(args.sweep)
     masses, radius, points = system.mass_column, system.radius, system.position_column
@@ -222,8 +209,7 @@ def _cmd_limit_sweep(args) -> int:
     flat = com_euclidean(masses, positions)
     rows = [(r, abs(center - flat)) for r, center in zip(radii, centers)]
     if args.format == "csv":
-        _emit(csv_text(CSV_HEADER_LIMIT, rows), args.output)
-        return EXIT_OK
+        return csv_text(CSV_HEADER_LIMIT, rows)
     errors = [err for _, err in rows]
     ratios = [
         errors[k] / errors[k + 1] if errors[k + 1] != 0.0 else None
@@ -242,11 +228,10 @@ def _cmd_limit_sweep(args) -> int:
         "sweep": radii,
         "tolerances": {"boundary_margin": BOUNDARY_MARGIN},
     }
-    _emit(report_text(report), args.output)
-    return EXIT_OK
+    return report_text(report)
 
 
-def _cmd_karcher_compare(args) -> int:
+def _cmd_karcher_compare(args) -> str:
     system, digest = load_system(args.input)
     radius = system.radius
     tol = _tolerance(args.tol, radius)
@@ -286,30 +271,23 @@ def _cmd_karcher_compare(args) -> int:
         "results": results,
         "tolerances": {"karcher_gradient": tol},
     }
-    _emit(report_text(report), args.output)
-    return EXIT_OK
+    return report_text(report)
 
 
-def _cmd_distance(args) -> int:
+def _cmd_distance(args) -> str:
     w1 = complex(args.coords[0], args.coords[1])
     w2 = complex(args.coords[2], args.coords[3])
-    sys.stdout.write(format_float(disk_distance(w1, w2, args.radius)) + "\n")
-    return EXIT_OK
+    return format_float(disk_distance(w1, w2, args.radius)) + "\n"
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args) -> str:
     w = project(args.coords, args.radius)
-    sys.stdout.write(f"{format_float(w.real)} {format_float(w.imag)}\n")
-    return EXIT_OK
+    return f"{format_float(w.real)} {format_float(w.imag)}\n"
 
 
-def _cmd_unproject(args) -> int:
+def _cmd_unproject(args) -> str:
     lifted = unproject(complex(args.coords[0], args.coords[1]), args.radius)
-    sys.stdout.write(
-        f"{format_float(lifted.x)} {format_float(lifted.y)} "
-        f"{format_float(lifted.z)}\n"
-    )
-    return EXIT_OK
+    return " ".join(map(format_float, lifted)) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,17 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
     dist = sub.add_parser("distance", help="distance between two disk points")
     dist.add_argument("coords", type=float, nargs=4, help="re1 im1 re2 im2")
     dist.add_argument("--radius", type=float, required=True)
-    dist.set_defaults(func=_cmd_distance)
+    dist.set_defaults(func=_cmd_distance, output=None)
 
     proj = sub.add_parser("project", help="hyperboloid point to disk point")
     proj.add_argument("coords", type=float, nargs=3, help="x y z")
     proj.add_argument("--radius", type=float, required=True)
-    proj.set_defaults(func=_cmd_project)
+    proj.set_defaults(func=_cmd_project, output=None)
 
     unproj = sub.add_parser("unproject", help="disk point to hyperboloid point")
     unproj.add_argument("coords", type=float, nargs=2, help="re im")
     unproj.add_argument("--radius", type=float, required=True)
-    unproj.set_defaults(func=_cmd_unproject)
+    unproj.set_defaults(func=_cmd_unproject, output=None)
 
     return parser
 
@@ -377,13 +355,24 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise ValidationError(
+                    f"cannot write output {args.output!r}: {exc.strerror or exc}"
+                ) from exc
     except ValidationError as exc:
         print(f"hypercom: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"hypercom: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def run() -> None:

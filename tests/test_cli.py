@@ -260,7 +260,7 @@ def test_equilibrium_equal_masses():
 HUGE_LEVER = ("--m1", "1e300", "--m2", "1e300", "--alpha", "5e99", "--radius", "1e100")
 
 
-def test_equilibrium_report_past_the_doubles_is_a_numerical_failure():
+def test_equilibrium_report_past_the_doubles_is_a_numerical_failure(tmp_path):
     # The pair is certified, but its lever sides m R v are about 1.1e400
     # and the residual's tolerance, 1e-12 of them, is past the doubles too.
     done = run_cli("equilibrium", *HUGE_LEVER)
@@ -268,6 +268,12 @@ def test_equilibrium_report_past_the_doubles_is_a_numerical_failure():
     assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1
     assert "JSON cannot carry" in done.stderr
+    # The report fails before anything is written: no --output file either.
+    target = tmp_path / "report.json"
+    done = run_cli("equilibrium", *HUGE_LEVER, "--output", str(target))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert not target.exists()
 
 
 def test_equilibrium_trace_past_the_doubles_is_reported():
@@ -609,10 +615,30 @@ def test_equilibrium_rejects_nonpositive_angles():
         assert "Traceback" not in done.stderr
 
 
-def test_output_into_missing_directory(pair_file, tmp_path):
+# Every subcommand that takes --output, in each of its formats; PAIR
+# stands for the pair_file path.
+EQUILIBRIUM = ("equilibrium", "--m1", "1", "--m2", "2", "--alpha", "0.5", "--radius", "1")
+LIMIT_SWEEP = ("limit-sweep", "--input", "PAIR", "--sweep", "10,20")
+OUTPUT_COMMANDS = {
+    "com": ("com", "--input", "PAIR"),
+    "equilibrium": EQUILIBRIUM,
+    "equilibrium-csv": (*EQUILIBRIUM, "--format", "csv"),
+    "limit-sweep": LIMIT_SWEEP,
+    "limit-sweep-csv": (*LIMIT_SWEEP, "--format", "csv"),
+    "karcher-compare": ("karcher-compare", "--input", "PAIR"),
+}
+
+
+def _output_argv(name, pair_file):
+    return [str(pair_file) if arg == "PAIR" else arg for arg in OUTPUT_COMMANDS[name]]
+
+
+@pytest.mark.parametrize("name", OUTPUT_COMMANDS)
+def test_output_into_missing_directory(name, pair_file, tmp_path):
     target = tmp_path / "missing" / "report.json"
-    done = run_cli("com", "--input", str(pair_file), "--output", str(target))
+    done = run_cli(*_output_argv(name, pair_file), "--output", str(target))
     assert done.returncode == 1
+    assert done.stdout == ""
     assert len(done.stderr.splitlines()) == 1
     assert "cannot write output" in done.stderr
     assert "Traceback" not in done.stderr
@@ -928,22 +954,21 @@ def test_non_utf8_system_file_is_an_input_error(tmp_path):
 
 def test_file_subcommands_use_no_default_encoding(pair_file, tmp_path):
     # The input was read and --output written in the locale's encoding.
+    # The file holds the bytes the command prints without --output, and
+    # nothing goes to stdout.
     out = tmp_path / "out.txt"
-    for argv in (
-        ["com", "--input", str(pair_file)],
-        ["limit-sweep", "--input", str(pair_file), "--sweep", "10,20"],
-        ["karcher-compare", "--input", str(pair_file)],
-        ["equilibrium", "--m1", "1", "--m2", "2", "--alpha", "0.5", "--radius", "1"],
-    ):
-        done = subprocess.run(
-            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
-             "-m", "hypercom", *argv, "--output", str(out)],
-            capture_output=True,
-            text=True,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stderr == ""
-        assert json.loads(out.read_text(encoding="utf-8"))["command"] == argv[0]
+    for name in OUTPUT_COMMANDS:
+        argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                "-m", "hypercom", *_output_argv(name, pair_file)]
+        printed = subprocess.run(argv, capture_output=True)
+        done = subprocess.run([*argv, "--output", str(out)], capture_output=True)
+        for result in (printed, done):
+            assert result.returncode == 0, (name, result.stderr)
+            assert result.stderr == b"", name
+        assert done.stdout == b"", name
+        assert out.read_bytes() == printed.stdout, name
+        if not name.endswith("-csv"):
+            assert json.loads(printed.stdout)["command"] == OUTPUT_COMMANDS[name][0]
 
 
 def _readme_examples():

@@ -61,6 +61,19 @@ def test_exp_map_from_pole_closed_form():
         assert hyperboloid_distance(POLE, out, 1.0) == pytest.approx(s, rel=1e-10)
 
 
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+@pytest.mark.parametrize("rapidity", [1.0, 2.5, 10.0])
+def test_exp_of_the_log_to_the_pole_lands_on_it_exactly_from_an_axis(rapidity, radius):
+    # Along an axis the step's far side vanishes exactly, the r == 0 return
+    # of geometry._step; off an axis the landing is about 1e-16 R away.
+    far = radius * math.sinh(rapidity)
+    near = radius * math.cosh(rapidity)
+    pole = HPoint(0.0, 0.0, radius)
+    for p in ((far, 0.0, near), (-far, 0.0, near), (0.0, far, near), (0.0, -far, near)):
+        landed = exp_map(log_map(p, pole, radius), radius)
+        assert repr(landed) == repr(pole), p  # +0.0, not -0.0
+
+
 def test_exp_map_rejects_non_tangent():
     with pytest.raises(ValidationError):
         exp_map(TangentVector(base=POLE, v=(0.0, 0.0, 0.5)), 1.0)
