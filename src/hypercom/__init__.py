@@ -11,128 +11,19 @@ measures how the center behaves under rigid rotation.  The cli module
 wraps everything behind ``hypercom`` / ``python -m hypercom``.
 """
 
-from .barycenter import (
-    DISK,
-    HYPERBOLOID,
-    LINE,
-    CenterOfMass,
-    MassedSystem,
-    Particle,
-    com_disk,
-    com_euclidean,
-    com_hyperboloid,
-    com_line,
-    disk_system,
-    euclidean_limit_error,
-    hyperboloid_system,
-    lever_point,
-    lever_residual,
-    line_system,
-    log_ratio,
-    log_ratio_inv,
-    to_disk_system,
-    to_hyperboloid_system,
-)
-from .equilibria import (
-    BalanceVerdict,
-    RotationSample,
-    RotationSweep,
-    TwoBodyEquilibrium,
-    balance_radius,
-    classify_balance,
-    diametric_system,
-    eulerian_triple,
-    lagrangian_triple,
-    mirror_pair,
-    rotation_sweep,
-    uniform_angles,
-)
-from .errors import ConvergenceError, NumericalError, ValidationError
-from .geometry import (
-    GeodesicSegment,
-    HPoint,
-    LPoint,
-    arc_between,
-    arclength_from_pole,
-    disk_distance,
-    geodesic_between,
-    hpoint,
-    hyperboloid_distance,
-    lpoint,
-    minkowski_inner,
-    project,
-    project_line,
-    rotate_disk,
-    unproject,
-    unproject_line,
-)
-from .karcher import (
-    KarcherResult,
-    TangentVector,
-    exp_map,
-    karcher_mean,
-    karcher_solve,
-    log_map,
-)
+from . import barycenter, equilibria, errors, geometry, karcher
+from .barycenter import *
+from .equilibria import *
+from .errors import *
+from .geometry import *
+from .karcher import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BalanceVerdict",
-    "CenterOfMass",
-    "ConvergenceError",
-    "DISK",
-    "GeodesicSegment",
-    "HPoint",
-    "HYPERBOLOID",
-    "KarcherResult",
-    "LINE",
-    "LPoint",
-    "MassedSystem",
-    "NumericalError",
-    "Particle",
-    "RotationSample",
-    "RotationSweep",
-    "TangentVector",
-    "TwoBodyEquilibrium",
-    "ValidationError",
-    "arc_between",
-    "arclength_from_pole",
-    "balance_radius",
-    "classify_balance",
-    "com_disk",
-    "com_euclidean",
-    "com_hyperboloid",
-    "com_line",
-    "diametric_system",
-    "disk_distance",
-    "disk_system",
-    "eulerian_triple",
-    "euclidean_limit_error",
-    "exp_map",
-    "geodesic_between",
-    "hpoint",
-    "hyperboloid_distance",
-    "hyperboloid_system",
-    "karcher_mean",
-    "karcher_solve",
-    "lagrangian_triple",
-    "lever_point",
-    "lever_residual",
-    "line_system",
-    "log_map",
-    "log_ratio",
-    "log_ratio_inv",
-    "lpoint",
-    "minkowski_inner",
-    "mirror_pair",
-    "project",
-    "project_line",
-    "rotate_disk",
-    "rotation_sweep",
-    "to_disk_system",
-    "to_hyperboloid_system",
-    "uniform_angles",
-    "unproject",
-    "unproject_line",
-]
+# Each module's __all__ is its public surface; the package re-exports them.
+__all__ = []
+__all__ += barycenter.__all__
+__all__ += equilibria.__all__
+__all__ += errors.__all__
+__all__ += geometry.__all__
+__all__ += karcher.__all__

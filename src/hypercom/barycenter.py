@@ -29,8 +29,8 @@ the one-column case.  The public centers, the rotation sweep, the
 Eulerian triple and the CLI reports all call it.
 Its particles are checked in one place, by MassedSystem, against the
 one table _MODELS of each model's stored form and checks: the system
-builders, com_hyperboloid and each triple build exactly one, and the
-kernel trusts what it reads.
+builders, the model conversions, com_hyperboloid and each triple build
+exactly one, and the kernel trusts what it reads.
 
 Whether the same point satisfies the geodesic lever rule for generic
 (non-diametric) configurations is deliberately not assumed here; the
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add, attrgetter, mul, truediv
 from typing import NamedTuple
 
@@ -52,10 +52,10 @@ from .geometry import (
     check_hpoint,
     check_interval_point,
     check_radius,
-    disk_distance,
     geodesic_between,
     _asinh_ratio,
     _cosh_sinh,
+    _disk_distance,
     _disk_halves,
     _disk_point,
     _inside,
@@ -64,6 +64,13 @@ from .geometry import (
     _project,
     _unproject,
 )
+
+__all__ = [
+    "DISK", "HYPERBOLOID", "LINE", "CenterOfMass", "MassedSystem", "Particle",
+    "com_disk", "com_euclidean", "com_hyperboloid", "com_line", "disk_system",
+    "euclidean_limit_error", "hyperboloid_system", "lever_point", "lever_residual",
+    "line_system", "log_ratio", "log_ratio_inv", "to_disk_system", "to_hyperboloid_system",
+]
 
 LINE = "line"
 DISK = "disk"
@@ -366,7 +373,7 @@ def _means(masses, total: float, re, im, columns: int) -> list[complex]:
 
     def column_means(values):
         terms = map(mul, masses * columns, values)
-        sums = map(math.fsum, map(islice, repeat(terms), repeat(n, columns)))
+        sums = map(math.fsum, zip(*[terms] * n))
         return map(truediv, sums, repeat(total))
 
     try:  # fsum raises past the double range, or over +-inf products
@@ -434,9 +441,11 @@ def lever_residual(m1, p1, m2, p2, probe, radius: float) -> float:
     """
     m1 = check_mass(m1)
     m2 = check_mass(m2)
-    return m1 * disk_distance(p1, probe, radius) - m2 * disk_distance(
-        p2, probe, radius
-    )
+    radius = check_radius(radius)
+    p1 = check_disk_point(p1, radius)
+    probe = check_disk_point(probe, radius)
+    p2 = check_disk_point(p2, radius)
+    return m1 * _disk_distance(p1, probe, radius) - m2 * _disk_distance(p2, probe, radius)
 
 
 def to_disk_system(system: MassedSystem) -> MassedSystem:
@@ -444,18 +453,18 @@ def to_disk_system(system: MassedSystem) -> MassedSystem:
     if system.model == DISK:
         return system
     if system.model == LINE:
-        positions = system.position_column
+        positions = tuple(map(complex, system.position_column))
     else:
-        positions = [_project(p, system.radius) for p in system.position_column]
-    return disk_system(system.mass_column, positions, system.radius)
+        positions = tuple(map(_project, system.position_column, repeat(system.radius)))
+    return MassedSystem(system.mass_column, positions, system.radius, DISK)
 
 
 def to_hyperboloid_system(system: MassedSystem) -> MassedSystem:
     """Lift a system onto the sheet (identity for hyperboloid input)."""
     if system.model == HYPERBOLOID:
         return system
-    points = [_unproject(complex(w), system.radius) for w in system.position_column]
-    return hyperboloid_system(system.mass_column, points, system.radius)
+    points = tuple(map(_unproject, system.position_column, repeat(system.radius)))
+    return MassedSystem(system.mass_column, points, system.radius, HYPERBOLOID)
 
 
 def lever_point(m1, p1, m2, p2, radius: float) -> complex:

@@ -59,6 +59,12 @@ from .geometry import (
     check_disk_point,
 )
 
+__all__ = [
+    "BalanceVerdict", "RotationSample", "RotationSweep", "TwoBodyEquilibrium",
+    "balance_radius", "classify_balance", "diametric_system", "eulerian_triple",
+    "lagrangian_triple", "mirror_pair", "rotation_sweep", "uniform_angles",
+]
+
 # Two radii count as equal when they agree to this relative tolerance;
 # otherwise the ordering is decided by sign.
 EQUALITY_RTOL = 1e-12

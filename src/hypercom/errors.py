@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConvergenceError", "NumericalError", "ValidationError"]
+
 
 class ValidationError(ValueError):
     """Rejected input: off-model point, nonpositive mass, malformed file."""

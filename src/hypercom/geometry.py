@@ -37,6 +37,13 @@ from typing import NamedTuple
 
 from .errors import NumericalError, ValidationError
 
+__all__ = [
+    "GeodesicSegment", "HPoint", "LPoint", "arc_between", "arclength_from_pole",
+    "disk_distance", "geodesic_between", "hpoint", "hyperboloid_distance", "lpoint",
+    "minkowski_inner", "project", "project_line", "rotate_disk", "unproject",
+    "unproject_line",
+]
+
 # On-surface validation at construction; relative to the point's scale.
 TOL_CONSTRUCT = 1e-9
 # Disk points with |w| > R (1 - BOUNDARY_MARGIN) are rejected outright:

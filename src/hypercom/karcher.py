@@ -53,6 +53,8 @@ from .geometry import (
     minkowski_inner,
 )
 
+__all__ = ["KarcherResult", "TangentVector", "exp_map", "karcher_mean", "karcher_solve", "log_map"]
+
 # Tangency of a vector at its base point, relative to the product scale.
 TANGENT_TOL = 1e-10
 # Evaluations in a row that lower neither the smallest gradient norm nor

@@ -498,6 +498,15 @@ def test_model_converters_roundtrip():
     assert to_disk_system(disk) is disk
 
 
+def test_a_sheet_pair_40r_apart_has_no_disk_system():
+    # The far point's image rounds onto the rim, 1 + 0j, which the disk
+    # system's own check rejects.
+    far = (math.sinh(40.0), 0.0, math.cosh(40.0))
+    system = hyperboloid_system([1.0, 2.0], [(0.0, 0.0, 1.0), far], 1.0)
+    with pytest.raises(ValidationError, match=r"^point \(1\+0j\) is not inside the disk of radius 1\.0$"):
+        to_disk_system(system)
+
+
 # --- flat mean and the large-radius limit --------------------------------------
 
 
@@ -569,6 +578,26 @@ def test_lever_residual_examples():
         1.0, 0.5 + 0j, 2.0, -PARTNER_12 + 0j, 0j, 1.0
     ) == pytest.approx(0.0, abs=1e-12)
     assert lever_residual(1.0, 0.5 + 0j, 1.0, -0.5 + 0j, 0.1 + 0j, 1.0) < 0.0
+
+
+def test_lever_residual_reports_the_first_bad_argument():
+    # In the order they are checked: each bad argument, then its error.
+    bad = {
+        "m1": (0.0, "mass must be positive and finite, got 0.0"),
+        "m2": (-1.0, "mass must be positive and finite, got -1.0"),
+        "radius": (0.0, "curvature radius must be positive and finite, got 0.0"),
+        "p1": (2.0, "point (2+0j) is not inside the disk of radius 1.0"),
+        "probe": (3.0, "point (3+0j) is not inside the disk of radius 1.0"),
+        "p2": (4.0, "point (4+0j) is not inside the disk of radius 1.0"),
+    }
+    good = {"m1": 1.0, "m2": 2.0, "radius": 1.0, "p1": 0.5, "probe": 0j, "p2": -PARTNER_12}
+    args = {name: value for name, (value, _) in bad.items()}
+    for name, (_, message) in bad.items():
+        with pytest.raises(ValidationError) as raised:
+            lever_residual(**args)
+        assert str(raised.value) == message
+        args[name] = good[name]
+    assert lever_residual(**args) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lever_point_equal_masses_is_midpoint():
