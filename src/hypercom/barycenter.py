@@ -22,15 +22,16 @@ its own rim: a mean b that rounds to +-pi/2 names no point.
 
 One kernel, _centers, serves the line, the disk and the sheet: it reads
 v from each model's own coordinates, forms the mean once with exact
-sums and maps it back into the same model.  It takes several columns
-that share masses, total and radius and reads them in one pass, so a
-rotation sweep evaluates all its angles in one call, and a system is
-the one-column case.  The public centers, the rotation sweep, the
-Eulerian triple and the CLI reports all call it.
+sums in _means, the one weighted mean (com_euclidean's too), and maps
+it back into the same model.  It takes several columns that share
+masses, total and radius and reads them in one pass, so a rotation
+sweep evaluates all its angles in one call, and a system is the
+one-column case.  The public centers, log_ratio, the rotation sweep,
+the Eulerian triple, limit-sweep and the CLI reports all call it.
 Its particles are checked in one place, by MassedSystem, against the
 one table _MODELS of each model's stored form and checks: the system
-builders, the model conversions, com_hyperboloid and each triple build
-exactly one, and the kernel trusts what it reads.
+builders, the file loader, the model conversions, com_hyperboloid and
+each triple build exactly one, and the kernel trusts what it reads.
 
 Whether the same point satisfies the geodesic lever rule for generic
 (non-diametric) configurations is deliberately not assumed here; the
@@ -42,7 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import repeat
-from operator import add, attrgetter, mul, truediv
+from operator import add, attrgetter, mul
 from typing import NamedTuple
 
 from .errors import NumericalError, ValidationError
@@ -365,46 +366,35 @@ def _sheet_center(mean: complex, radius: float) -> HPoint:
     return HPoint(x, y, z)
 
 
-def _means(masses, total: float, re, im, columns: int) -> list[complex]:
-    """_mean of each column of len(masses) values; several go in mapped passes."""
+def _means(masses, total: float, re, im=None, columns: int = 1) -> list[complex]:
+    """Mass-weighted means of columns of len(masses) values, summed exactly.
+
+    ``re`` and ``im`` (None for real values) hold the columns back to back.
+    Where a column's products overflow, it is redone with the masses and the
+    total scaled once by the exact power of two that brings the total into
+    [0.5, 1); a batch redoes each column alone, with the bits of one column.
+    """
     n = len(masses)
-    if columns == 1:
-        return [_mean(masses, total, re, im)]
-
-    def column_means(values):
-        terms = map(mul, masses * columns, values)
-        sums = map(math.fsum, zip(*[terms] * n))
-        return map(truediv, sums, repeat(total))
-
     try:  # fsum raises past the double range, or over +-inf products
-        imag = repeat(0.0) if im is None else column_means(im)
-        means = list(map(complex, column_means(re), imag))
+        if columns == 1:
+            im_sum = 0.0 if im is None else math.fsum(map(mul, masses, im))
+            means = [complex(math.fsum(map(mul, masses, re)) / total, im_sum / total)]
+        else:  # zip(*[terms] * n) groups each column's n products
+            parts = (re, im or repeat(0.0, len(re)))
+            sums = [map(math.fsum, zip(*[map(mul, masses * columns, v)] * n)) for v in parts]
+            means = [complex(a / total, b / total) for a, b in zip(*sums)]
         if all(map(cmath.isfinite, means)):
             return means
     except (OverflowError, ValueError):
-        pass  # some column overflows: _mean redoes each, with its bits
-    return [_mean(masses, total, re[k:k + n], im and im[k:k + n]) for k in range(0, len(re), n)]
-
-
-def _mean(masses, total: float, re, im=None) -> complex:
-    """Mass-weighted mean of a real and an imaginary column, summed exactly.
-
-    Where the products m x overflow, the masses and the total are scaled
-    once by the exact power of two that brings the total into [0.5, 1).
-    """
-
-    def mean(masses, total):
-        im_sum = 0.0 if im is None else math.fsum(map(mul, masses, im))
-        return complex(math.fsum(map(mul, masses, re)) / total, im_sum / total)
-
-    try:  # fsum raises past the double range, or over +-inf products
-        value = mean(masses, total)
-        if cmath.isfinite(value):
-            return value
-    except (OverflowError, ValueError):
-        pass
+        if columns == 1 and 0.5 <= total < 1.0:
+            raise  # a total in [0.5, 1) is not rescaled: a redo repeats this pass
+    if columns > 1:
+        starts = range(0, len(re), n)
+        return [_means(masses, total, re[k:k + n], im and im[k:k + n])[0] for k in starts]
+    if 0.5 <= total < 1.0:
+        return means
     shift = -math.frexp(total)[1]
-    return mean([math.ldexp(m, shift) for m in masses], math.ldexp(total, shift))
+    return _means([math.ldexp(m, shift) for m in masses], math.ldexp(total, shift), re, im)
 
 
 def com_euclidean(masses, positions) -> complex:
@@ -420,7 +410,7 @@ def com_euclidean(masses, positions) -> complex:
             raise ValidationError(f"position must be finite, got {p!r}")
     if len(positions) == 1:
         return positions[0]
-    return _mean(masses, total, [p.real for p in positions], [p.imag for p in positions])
+    return _means(masses, total, [p.real for p in positions], [p.imag for p in positions])[0]
 
 
 def euclidean_limit_error(masses, positions, radius: float) -> float:
@@ -452,11 +442,14 @@ def to_disk_system(system: MassedSystem) -> MassedSystem:
     """Re-express a system in disk coordinates (identity for disk input)."""
     if system.model == DISK:
         return system
-    if system.model == LINE:
-        positions = tuple(map(complex, system.position_column))
-    else:
-        positions = tuple(map(_project, system.position_column, repeat(system.radius)))
-    return MassedSystem(system.mass_column, positions, system.radius, DISK)
+    return MassedSystem(system.mass_column, _disk_images(system), system.radius, DISK)
+
+
+def _disk_images(system: MassedSystem) -> tuple[complex, ...]:
+    """The positions as disk points: sheet points projected, the others complex."""
+    if system.model == HYPERBOLOID:
+        return tuple(map(_project, system.position_column, repeat(system.radius)))
+    return tuple(map(complex, system.position_column))
 
 
 def to_hyperboloid_system(system: MassedSystem) -> MassedSystem:

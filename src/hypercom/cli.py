@@ -34,6 +34,7 @@ from .barycenter import (
     HYPERBOLOID,
     LINE,
     _centers,
+    _disk_images,
     _system_center,
     com_euclidean,
     disk_system,
@@ -191,11 +192,8 @@ def _cmd_limit_sweep(args) -> str:
     system, digest = load_system(args.input)
     radii = _parse_sweep(args.sweep)
     masses, radius, points = system.mass_column, system.radius, system.position_column
-    if system.model == HYPERBOLOID:
-        # Held to the smallest swept radius below, not to the rim band of R.
-        positions = [_project(p, radius) for p in points]
-    else:
-        positions = list(map(complex, points))
+    # Held to the smallest swept radius below, not to the rim band of R.
+    positions = _disk_images(system)
     smallest = min(radii)
     for p, w in zip(points, positions):
         if not _inside((w,), smallest):

@@ -12,7 +12,9 @@ A system file is one JSON document:
     }
 
 ``coords`` holds 1 number for "line", 2 ([re, im]) for "disk" and
-3 ([x, y, z]) for "hyperboloid".  load_system reads a file once, as
+3 ([x, y, z]) for "hyperboloid".  read_system_text builds each entry's
+stored form (float, complex or HPoint) in the pass that checks its
+numbers, then the MassedSystem once.  load_system reads a file once, as
 UTF-8, and returns the sha256 of the bytes it parsed with the system
 (from the built-in _sha2 or _sha256 module; hashlib where neither exists).
 Reports are JSON with sorted keys and fixed indentation; CSV traces use
@@ -24,17 +26,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .barycenter import (
-    DISK,
-    HYPERBOLOID,
-    LINE,
-    MODELS,
-    MassedSystem,
-    disk_system,
-    hyperboloid_system,
-    line_system,
-)
+from .barycenter import DISK, HYPERBOLOID, LINE, MODELS, MassedSystem
 from .errors import NumericalError, ValidationError
+from .geometry import HPoint
 
 try:  # import _hashlib (OpenSSL, which hashlib loads) adds 3.5 MB RSS; _sha256 about 0
     from _sha2 import sha256  # Python 3.12+
@@ -44,7 +38,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256  # builds without the built-in hashes
 
-COORD_ARITY = {LINE: 1, DISK: 2, HYPERBOLOID: 3}
+# Per model: the number of coords and the stored form they build.
+COORD_ARITY = {LINE: (1, float), DISK: (2, complex), HYPERBOLOID: (3, HPoint)}
 TOP_LEVEL_KEYS = {"radius", "model", "particles"}
 PARTICLE_KEYS = {"mass", "coords"}
 
@@ -84,9 +79,9 @@ def read_system_text(text: str) -> MassedSystem:
     particles = data["particles"]
     if not isinstance(particles, list) or not particles:
         raise ValidationError("particles must be a nonempty list")
-    arity = COORD_ARITY[model]
+    arity, stored = COORD_ARITY[model]
     masses = []
-    coords = []
+    positions = []
     for index, entry in enumerate(particles):
         where = f"particles[{index}]"
         if not isinstance(entry, dict) or set(entry) != PARTICLE_KEYS:
@@ -100,14 +95,10 @@ def read_system_text(text: str) -> MassedSystem:
                 f"{where}.coords must be a list of {arity} numbers for "
                 f"model {model!r}"
             )
-        coords.append(
-            [_number(c, f"{where}.coords[{k}]") for k, c in enumerate(raw)]
+        positions.append(
+            stored(*[_number(c, f"{where}.coords[{k}]") for k, c in enumerate(raw)])
         )
-    if model == LINE:
-        return line_system(masses, [c[0] for c in coords], radius)
-    if model == DISK:
-        return disk_system(masses, [complex(c[0], c[1]) for c in coords], radius)
-    return hyperboloid_system(masses, coords, radius)
+    return MassedSystem(tuple(masses), tuple(positions), radius, model)
 
 
 def load_system(path) -> tuple[MassedSystem, str]:

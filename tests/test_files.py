@@ -1,4 +1,4 @@
-"""System files: the digest load_system reports and where it comes from."""
+"""System files: the system read_system_text builds, and the digest load_system reports."""
 
 import hashlib
 import importlib.util
@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from hypercom import files
+from hypercom import ValidationError, disk_system, files, hyperboloid_system, line_system
 
 # The built-in sha256 modules, in the order files tries them.
 BUILTIN_SHA256 = [name for name in ("_sha2", "_sha256") if importlib.util.find_spec(name)]
@@ -52,3 +52,51 @@ def test_importing_the_cli_leaves_the_openssl_binding_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [BUILTIN_SHA256[0], "False"]
+
+
+def _document(model, radius, particles):
+    return json.dumps(
+        {
+            "radius": radius,
+            "model": model,
+            "particles": [{"mass": m, "coords": c} for m, c in particles],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "model, build, coords, positions",
+    [
+        ("line", line_system, [[1], [-1.5]], [1, -1.5]),
+        ("disk", disk_system, [[0, 1], [0.25, -0.5]], [1j, 0.25 - 0.5j]),
+        ("hyperboloid", hyperboloid_system, [[0, 0, 2], [1, 2, 3]], [(0, 0, 2), (1, 2, 3)]),
+    ],
+)
+def test_a_system_file_reads_to_the_builders_system(model, build, coords, positions):
+    # Integer numbers are stored as floats and sheet points as HPoints, as
+    # the builder stores them; repr tells 1 from 1.0 and an HPoint from a tuple.
+    system = files.read_system_text(_document(model, 2, [(1, coords[0]), (2.5, coords[1])]))
+    expected = build([1, 2.5], positions, 2)
+    assert system == expected
+    assert repr(system) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "model, radius, particles, message",
+    [
+        ("disk", 0, [(1, [0.5, 0]), (-1, [2, 0])],
+         "curvature radius must be positive and finite, got 0.0"),
+        ("disk", 1, [(1, [0.5, 0]), (-1, [2, 0]), (1, [0.1, 0])],
+         "mass must be positive and finite, got -1.0"),
+        ("disk", 1, [(1, [0.5, 0]), (1, [2, 0]), (-1, [0.1, 0])],
+         "point (2+0j) is not inside the disk of radius 1.0"),
+        ("line", 2, [(2, [1]), (1, [-2]), (0, [1])],
+         "coordinate -2.0 is not inside the interval (-2.0, 2.0)"),
+        ("hyperboloid", 1, [(1, [0, 0, 1]), (1, [0, 0, 2]), (0, [0, 0, 1])],
+         "point (0.0, 0.0, 2.0) is not on the upper sheet for radius 1.0"),
+    ],
+)
+def test_a_system_file_raises_its_first_error(model, radius, particles, message):
+    with pytest.raises(ValidationError) as caught:
+        files.read_system_text(_document(model, radius, particles))
+    assert str(caught.value) == message
