@@ -300,16 +300,21 @@ def com_disk(system: MassedSystem) -> CenterOfMass:
 def com_hyperboloid(masses, points, radius: float) -> HPoint:
     """Center of mass of particles on the sheet, in the band coordinate.
 
-    The particles are checked as a system is: masses converted to
-    floats first, then the radius, the particle count and each
-    particle's mass before its point, and the first bad entry raises.
-    Every representable sheet point is accepted.  A single particle is
-    returned as an HPoint; a center whose mean b rounds to the band's
-    rim raises NumericalError.
+    Accepts what hyperboloid_system accepts and raises what it raises,
+    the first bad entry in the system's order.  Every representable
+    sheet point is accepted.  A single particle is returned as an
+    HPoint; a center whose mean b rounds to the band's rim raises
+    NumericalError.
     """
-    # The system holds the caller's 3-sequences, not HPoints, and never
-    # leaves this function: _centers reads only their x and y.
-    system = MassedSystem(tuple(map(float, masses)), tuple(points), radius, HYPERBOLOID)
+    masses, points = list(masses), tuple(points)
+    try:
+        # The system holds the caller's 3-sequences, not HPoints, and never
+        # leaves this function: _centers reads only their x and y.
+        system = MassedSystem(tuple(map(float, masses)), points, radius, HYPERBOLOID)
+    except (TypeError, ValueError, ArithmeticError):
+        # Coordinates that need converting, and every error, go the way of
+        # hyperboloid_system, which builds HPoints of floats first.
+        system = hyperboloid_system(masses, points, radius)
     return _system_center(system)[1]
 
 

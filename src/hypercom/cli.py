@@ -42,6 +42,7 @@ from .barycenter import (
 )
 from .equilibria import (
     EQUALITY_RTOL,
+    MAX_SWEEP_ANGLES,
     SWEEP_ANGLES,
     classify_balance,
     rotation_sweep,
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disk radius of the first mass")
     eq.add_argument("--radius", type=float, required=True)
     eq.add_argument("--angles", type=_positive_int, default=SWEEP_ANGLES,
-                    help="rotation sweep resolution")
+                    help=f"rotation sweep resolution, at most {MAX_SWEEP_ANGLES}")
     eq.add_argument("--format", choices=("json", "csv"), default="json")
     eq.add_argument("--output", default=None)
     eq.set_defaults(func=_cmd_equilibrium)

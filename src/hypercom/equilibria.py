@@ -71,6 +71,9 @@ EQUALITY_RTOL = 1e-12
 
 # Rotation sweeps default to this many uniform angles in [0, 2*pi).
 SWEEP_ANGLES = 64
+# and take at most this many: a whole `hypercom equilibrium` call peaks at
+# about 0.8 KB of Python objects per angle (tracemalloc), so about 52 MB here.
+MAX_SWEEP_ANGLES = 2**16
 
 
 def balance_radius(m1: float, m2: float, alpha: float, radius: float) -> float:
@@ -224,13 +227,18 @@ class RotationSweep(NamedTuple):
 
 
 def uniform_angles(count: int) -> list[float]:
-    """The uniform grid 2 pi k / count, k = 0, ..., count - 1, for an integer count >= 1."""
+    """The uniform grid 2 pi k / count, k = 0, ..., count - 1, for an integer
+    count from 1 to MAX_SWEEP_ANGLES; the count is checked before the grid exists."""
     try:
         n = index(count)
     except TypeError:
         n = 0
     if n < 1:
         raise ValidationError(f"a rotation sweep needs at least one angle, got count {count!r}")
+    if n > MAX_SWEEP_ANGLES:
+        raise ValidationError(
+            f"a rotation sweep takes at most {MAX_SWEEP_ANGLES} angles, got count {count!r}"
+        )
     return [2.0 * math.pi * k / n for k in range(n)]
 
 

@@ -17,13 +17,24 @@ stored form (float, complex or HPoint) in the pass that checks its
 numbers, then the MassedSystem once.  load_system reads a file once, as
 UTF-8, and returns the sha256 of the bytes it parsed with the system
 (from the built-in _sha2 or _sha256 module; hashlib where neither exists).
-Reports are JSON with sorted keys and fixed indentation; CSV traces use
-fixed headers.  Identical inputs therefore produce byte-identical output.
+Location strings such as "particles[3].coords[1]" are formatted only for
+an error.
+
+A report is the text json.dumps(report, indent=2, sort_keys=True) gives,
+plus a newline, written by one recursive writer here: keys are str, a
+float is float.__repr__, an int int.__repr__, a string
+json.encoder.encode_basestring_ascii, and a list of floats is one join.
+json.dumps with indent runs json's pure-Python encoder before Python 3.13
+and leaves a reference cycle per call; the writer is faster there and
+leaves none.  NaN or an infinity anywhere is a NumericalError.  CSV traces
+have a fixed header and each float in format_float's form.  Identical
+inputs therefore produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .barycenter import DISK, HYPERBOLOID, LINE, MODELS, MassedSystem
@@ -43,14 +54,19 @@ COORD_ARITY = {LINE: (1, float), DISK: (2, complex), HYPERBOLOID: (3, HPoint)}
 TOP_LEVEL_KEYS = {"radius", "model", "particles"}
 PARTICLE_KEYS = {"mass", "coords"}
 
+_float_repr = float.__repr__
+# json.dumps(..., allow_nan=False)'s message for NaN and the infinities.
+_NOT_FINITE = "Out of range float values are not JSON compliant"
 
-def _number(value, where: str) -> float:
+
+def _number(value, where: str, *at) -> float:
+    """value as a float; an error names it by where.format(*at)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
+        raise ValidationError(f"{where.format(*at)} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise ValidationError(f"{where} is outside the double range") from None
+        raise ValidationError(f"{where.format(*at)} is outside the double range") from None
 
 
 def read_system_text(text: str) -> MassedSystem:
@@ -83,21 +99,20 @@ def read_system_text(text: str) -> MassedSystem:
     masses = []
     positions = []
     for index, entry in enumerate(particles):
-        where = f"particles[{index}]"
         if not isinstance(entry, dict) or set(entry) != PARTICLE_KEYS:
             raise ValidationError(
-                f"{where} must be an object with keys ['coords', 'mass']"
+                f"particles[{index}] must be an object with keys ['coords', 'mass']"
             )
-        masses.append(_number(entry["mass"], f"{where}.mass"))
+        masses.append(_number(entry["mass"], "particles[{}].mass", index))
         raw = entry["coords"]
         if not isinstance(raw, list) or len(raw) != arity:
             raise ValidationError(
-                f"{where}.coords must be a list of {arity} numbers for "
+                f"particles[{index}].coords must be a list of {arity} numbers for "
                 f"model {model!r}"
             )
-        positions.append(
-            stored(*[_number(c, f"{where}.coords[{k}]") for k, c in enumerate(raw)])
-        )
+        positions.append(stored(*[
+            _number(c, "particles[{}].coords[{}]", index, k) for k, c in enumerate(raw)
+        ]))
     return MassedSystem(tuple(masses), tuple(positions), radius, model)
 
 
@@ -120,16 +135,64 @@ def format_float(value: float) -> str:
 
 
 def report_text(report: dict) -> str:
-    """Deterministic JSON for report documents; NaN or infinity has no JSON form."""
+    """Deterministic JSON for report documents; NaN or infinity has no JSON form.
+
+    The bytes of json.dumps(report, indent=2, sort_keys=True,
+    allow_nan=False) plus a newline, from _json.
+    """
     try:
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json(report, "\n") + "\n"
     except ValueError as exc:
         raise NumericalError(f"the report holds a value JSON cannot carry: {exc}") from None
 
 
+def _json(value, newline: str) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it nested
+    where newline, a line break and the indent of that depth, starts a line.
+
+    Dict keys are str.  Of the type tests only bool before int is an order
+    that matters; json makes the same choices for every other type.
+    """
+    if isinstance(value, float):
+        text = _float_repr(value)
+        if "n" in text:  # nan, inf and -inf; no finite repr has the letter
+            raise ValueError(_NOT_FINITE)
+        return text
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        separator = "," + inner
+        try:
+            # A list of floats in one join; float.__repr__ refuses anything else.
+            text = separator.join(map(_float_repr, value))
+        except TypeError:
+            return "[" + inner + separator.join([_json(item, inner) for item in value]) + newline + "]"
+        if "n" in text:
+            raise ValueError(_NOT_FINITE)
+        return "[" + inner + text + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(key) + ": " + _json(value[key], inner) for key in sorted(value)
+        ]) + newline + "}"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def csv_text(header: str, rows) -> str:
-    """CSV with a fixed header; floats in shortest round-trip form."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """CSV with a fixed header; each value as format_float writes it."""
+    body = "".join([",".join(map(_float_repr, map(float, row))) + "\n" for row in rows])
+    # A repr ends in ".0" exactly when format_float drops those two characters.
+    return header + "\n" + body.replace(".0,", ",").replace(".0\n", "\n")

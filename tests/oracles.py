@@ -349,28 +349,19 @@ def step_highprec(a, ex, ey, de, dp, dps=60):
 def com_hyperboloid_reference(masses, points, radius):
     """Sheet center with every check made one particle at a time.
 
-    Checked as a system: every mass converted to a float first, then
-    the radius, the particle count, and each particle's mass before its
-    point, so the first invalid entry raises.  A single particle is its
-    own center; otherwise the center is com_hyperboloid_highprec.
+    Checked as hyperboloid_system checks: the particles of
+    system_reference, so the first invalid entry raises as it does there.
+    A single particle is its own center, in floats; otherwise the center
+    is com_hyperboloid_highprec.
     """
-    from hypercom import ValidationError
-    from hypercom.barycenter import check_mass
-    from hypercom.geometry import check_hpoint, check_radius
+    from hypercom import HPoint
 
-    masses = [float(m) for m in masses]
-    points = list(points)
-    radius = check_radius(radius)
-    if not masses:
-        raise ValidationError("a system needs at least one particle")
-    if len(masses) != len(points):
-        raise ValidationError(f"{len(masses)} masses for {len(points)} positions")
-    for m, p in zip(masses, points):
-        check_mass(m)
-        check_hpoint(p, radius)
-    if len(points) == 1:
-        return check_hpoint(points[0], radius)
-    return com_hyperboloid_highprec(masses, points, radius)
+    particles = system_reference(masses, points, radius, "hyperboloid")
+    if len(particles) == 1:
+        return HPoint(*map(float, particles[0].position))
+    return com_hyperboloid_highprec(
+        [p.mass for p in particles], [p.position for p in particles], radius
+    )
 
 
 def com_line_reference(system):

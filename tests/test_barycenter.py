@@ -544,6 +544,27 @@ def test_com_hyperboloid_checks_like_a_system():
         com_hyperboloid([0.0, 1.0], [pole, (1.0, 0.0, 1.0)], 1.0)
 
 
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "point", [(0, 0, "1"), None, (0, 0), (0, 0, 5)], ids=["string", "none", "short", "off-sheet"]
+)
+def test_com_hyperboloid_accepts_and_raises_what_hyperboloid_system_does(point):
+    # At a single particle the center is the stored point.  com_hyperboloid
+    # raised a raw TypeError on "1", other TypeError and ValueError messages
+    # on None and a short tuple, and printed (0, 0, 5) where the system
+    # prints (0.0, 0.0, 5.0).
+    expected = _outcome(lambda: hyperboloid_system([1], [point], 1.0).position_column[0])
+    got = _outcome(lambda: com_hyperboloid([1], [point], 1.0))
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
 def test_limit_error_decreases_quadratically():
     errors = [
         euclidean_limit_error([1.0, 1.0], [0.3, 0.5], radius)

@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -613,6 +614,25 @@ def test_equilibrium_rejects_nonpositive_angles():
         assert len(done.stderr.splitlines()) == 1
         assert "--angles" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_equilibrium_refuses_angles_past_the_ceiling_before_allocating(capsys):
+    # --angles 100000000 asked for tens of GB; the whole call stays under 1 MB.
+    argv = ["equilibrium", "--m1", "1", "--m2", "2", "--alpha", "0.5", "--radius", "1",
+            "--angles", "100000000"]
+    cli.main(argv[:-2])  # the process's parser is built outside the measurement
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "hypercom: error: a rotation sweep takes at most 65536 angles, got count 100000000\n"
+    assert peak < 2**20
 
 
 # Every subcommand that takes --output, in each of its formats; PAIR

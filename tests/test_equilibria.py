@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -27,6 +28,7 @@ from hypercom import (
     unproject,
 )
 
+from hypercom.equilibria import MAX_SWEEP_ANGLES
 from oracles import balance_radius_bisection, com_disk_highprec, com_line_bisection
 
 PARTNER_12 = 0.2679491924311227  # 2 - sqrt(3), frozen from the bisection oracle
@@ -301,6 +303,23 @@ def test_sweep_and_grid_take_an_integer_count_of_at_least_one(count):
         uniform_angles(count)
     with pytest.raises(ValidationError, match="at least one angle"):
         rotation_sweep(system, count)
+
+
+def test_sweep_count_past_the_ceiling_is_refused_before_any_grid():
+    # Uncapped, 10**8 angles asked for tens of GB; the count is refused
+    # before a grid or a rotated column exists.
+    system = diametric_system(1.0, 2.0, 0.5, 1.0)
+    assert len(uniform_angles(MAX_SWEEP_ANGLES)) == MAX_SWEEP_ANGLES
+    for call in (lambda: uniform_angles(10**8), lambda: rotation_sweep(system, 10**8),
+                 lambda: uniform_angles(MAX_SWEEP_ANGLES + 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"at most {MAX_SWEEP_ANGLES} angles"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_sweep_count_is_read_by_operator_index():
