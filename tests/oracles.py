@@ -232,7 +232,7 @@ def system_reference(masses, positions, radius, model):
         check_radius,
     )
 
-    coerce = {"line": float, "disk": complex, "hyperboloid": lambda p: HPoint(*p)}
+    coerce = {"line": float, "disk": complex, "hyperboloid": lambda p: HPoint(*map(float, p))}
     masses, positions = list(masses), list(positions)
     if len(masses) != len(positions):
         raise ValidationError(f"{len(masses)} masses for {len(positions)} positions")

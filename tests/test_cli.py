@@ -256,6 +256,17 @@ def test_equilibrium_equal_masses():
     report = json.loads(done.stdout)
     assert report["results"]["partner_radius"] == pytest.approx(0.5, rel=1e-12)
     assert report["results"]["relation"] == "equal"
+    assert report["results"]["matches_mass_order"] is True
+
+
+def test_equilibrium_whose_lever_balance_cannot_be_certified_is_a_numerical_failure():
+    # m1 = 1e-320 balances m2 = 1e300 only at a partner radius that
+    # underflows to 0, which balances nothing.
+    done = run_cli(
+        "equilibrium", "--m1", "1e-320", "--m2", "1e300", "--alpha", "0.9", "--radius", "1"
+    )
+    _one_line_failure(done, 2)
+    assert "cannot reproduce the lever balance" in done.stderr
 
 
 HUGE_LEVER = ("--m1", "1e300", "--m2", "1e300", "--alpha", "5e99", "--radius", "1e100")
@@ -465,6 +476,19 @@ def test_karcher_compare_generic_triple_reproducible(tmp_path):
     assert report["results"]["separation"] > 0.0
 
 
+def test_karcher_compare_checks_its_tolerance_and_reports_the_one_it_used(tmp_path):
+    readme, _, _ = _readme_system(tmp_path)
+    done = run_cli("karcher-compare", "--input", str(readme), "--tol", "-1")
+    _one_line_failure(done, 1)
+    assert "tolerance must be positive" in done.stderr
+    pair = write_system(tmp_path / "pair.json", 3.0, "disk", [(1.0, (1.5, 0.0)), (2.0, (0.0, -1.0))])
+    for path, radius in ((readme, 1.0), (pair, 3.0)):
+        for tol, used in ((["--tol", "1e-10"], 1e-10), ([], 1e-12 * radius)):
+            done = run_cli("karcher-compare", "--input", str(path), *tol)
+            assert done.returncode == 0, done.stderr
+            assert json.loads(done.stdout)["tolerances"]["karcher_gradient"] == used
+
+
 def test_karcher_compare_line_center_is_the_com_center(tmp_path):
     # karcher-compare took the line center from a disk system (cmath.log)
     # and com from the line (math.log); for this pair they differed in
@@ -601,6 +625,26 @@ def test_exit_code_usage_errors():
     assert run_cli("equilibrium", "--m1", "1").returncode == 1
     assert run_cli("no-such-command").returncode == 1
     assert run_cli("distance", "0", "0", "--radius", "1").returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("equilibrium", "--m1", "1", "--m2", "2", "--alpha", "0.5", "--radius", "1",
+          "--angles", "1.5"),
+         "hypercom equilibrium: error: argument --angles: invalid int value: '1.5'"),
+        (("limit-sweep", "--input", "PAIR", "--sweep", ""), "hypercom: error: sweep list is empty"),
+        (("com", "--input", "ARRAY"), "hypercom: error: system file must be a JSON object"),
+    ],
+    ids=["angles-not-an-int", "empty-sweep", "document-not-an-object"],
+)
+def test_input_error_is_one_line_naming_its_cause(argv, message, pair_file, tmp_path):
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    paths = {"PAIR": str(pair_file), "ARRAY": str(array)}
+    done = run_cli(*(paths.get(arg, arg) for arg in argv))
+    _one_line_failure(done, 1)
+    assert done.stderr == message + "\n"
 
 
 def test_equilibrium_rejects_nonpositive_angles():
@@ -918,11 +962,13 @@ def test_piped_input_reports_the_digest_of_the_piped_bytes(pair_file):
         ["karcher-compare"],
     ):
         done = subprocess.run(
-            [sys.executable, "-m", "hypercom", *argv, "--input", "/dev/stdin"],
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "hypercom", *argv, "--input", "/dev/stdin"],
             input=data,
             capture_output=True,
         )
         assert done.returncode == 0, done.stderr
+        assert done.stderr == b"", argv
         digest = json.loads(done.stdout)["input_sha256"]
         assert digest == hashlib.sha256(data).hexdigest(), argv
 

@@ -28,7 +28,7 @@ from operator import mul
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercom import (
@@ -572,11 +572,13 @@ def _outcome(fn, *args):
 
 @settings(max_examples=200, deadline=None)
 @given(raw=raw_systems())
+@example(raw=("hyperboloid", [1.0], [(0, 0, "1")], 1.0))  # stored as HPoint(0.0, 0.0, 1.0)
 def test_system_columns_equal_per_particle_build(raw):
     model, masses, positions, radius = raw
     particles = system_reference(masses, positions, radius, model)
     system = BUILDERS[model](masses, positions, radius)
     assert system.particles == particles
+    assert repr(system.particles) == repr(particles)
     assert system.masses() == [p.mass for p in particles]
     assert system.positions() == [p.position for p in particles]
     assert system.total_mass == math.fsum(p.mass for p in particles)
@@ -584,16 +586,24 @@ def test_system_columns_equal_per_particle_build(raw):
     assert (system.radius, system.model) == (radius, model)
 
 
-@settings(max_examples=400, deadline=None)
-@given(raw=raw_systems(), data=st.data())
-def test_invalid_entries_raise_the_per_particle_error(raw, data):
-    model, masses, positions, radius = raw
-    for _ in range(data.draw(st.integers(1, 2))):
-        k = data.draw(st.integers(0, len(masses) - 1))
-        if data.draw(st.booleans()):
-            masses[k] = data.draw(st.sampled_from(BAD_MASSES))
+@st.composite
+def invalid_systems(draw):
+    """A raw system with one or two of its masses or positions made invalid."""
+    model, masses, positions, radius = draw(raw_systems())
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(0, len(masses) - 1))
+        if draw(st.booleans()):
+            masses[k] = draw(st.sampled_from(BAD_MASSES))
         else:
-            positions[k] = data.draw(st.sampled_from(_bad_positions(model, radius)))
+            positions[k] = draw(st.sampled_from(_bad_positions(model, radius)))
+    return model, masses, positions, radius
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=invalid_systems())
+@example(raw=("hyperboloid", [1.0, 2.0], [(0.0, 0.0, 1.0), (0, 0, 5)], 1.0))  # off the sheet
+def test_invalid_entries_raise_the_per_particle_error(raw):
+    model, masses, positions, radius = raw
     kind, expected = _outcome(system_reference, masses, positions, radius, model)
     got_kind, got = _outcome(BUILDERS[model], masses, positions, radius)
     assert got_kind == kind
