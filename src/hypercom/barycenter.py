@@ -378,6 +378,9 @@ def _means(masses, total: float, re, im=None, columns: int = 1) -> list[complex]
     Where a column's products overflow, it is redone with the masses and the
     total scaled once by the exact power of two that brings the total into
     [0.5, 1); a batch redoes each column alone, with the bits of one column.
+    A total already there keeps every product finite, so only rounding takes
+    its mean past the range: it is redone from the halved values, doubled and
+    held between the values, where a weighted mean lies.
     """
     n = len(masses)
     try:  # fsum raises past the double range, or over +-inf products
@@ -391,13 +394,16 @@ def _means(masses, total: float, re, im=None, columns: int = 1) -> list[complex]
         if all(map(cmath.isfinite, means)):
             return means
     except (OverflowError, ValueError):
-        if columns == 1 and 0.5 <= total < 1.0:
-            raise  # a total in [0.5, 1) is not rescaled: a redo repeats this pass
+        pass
     if columns > 1:
         starts = range(0, len(re), n)
         return [_means(masses, total, re[k:k + n], im and im[k:k + n])[0] for k in starts]
     if 0.5 <= total < 1.0:
-        return means
+        parts = []
+        for v in (re, im or [0.0]):
+            half = math.fsum(map(mul, masses, [0.5 * x for x in v])) / total
+            parts.append(min(max(2.0 * half, min(v)), max(v)))
+        return [complex(*parts)]
     shift = -math.frexp(total)[1]
     return _means([math.ldexp(m, shift) for m in masses], math.ldexp(total, shift), re, im)
 

@@ -237,10 +237,7 @@ def unproject_line(u: float, radius: float) -> LPoint:
 
 
 def minkowski_inner(p, q) -> float:
-    """Bilinear form x1 x2 + y1 y2 - z1 z2 of the ambient Minkowski space.
-
-    Accepts any 3-sequences, so it also serves tangent vectors.
-    """
+    """Bilinear form x1 x2 + y1 y2 - z1 z2 of the ambient Minkowski space."""
     return p[0] * q[0] + p[1] * q[1] - p[2] * q[2]
 
 

@@ -22,10 +22,11 @@ read each point's rapidity asinh(r/R) and xy heading, never differences
 of ambient coordinates, so what rounding costs grows with a particle's
 distance from the iterate rather than from the pole: pairs 40R apart on
 a diameter converge in one step.  log_map and exp_map are thin wrappers
-over them.  Where doubles fix the particles too coarsely for the
-tolerance (far from the pole, off the axes), the gradient stops
-decreasing; the iteration then raises ConvergenceError after
-STALL_STEPS evaluations instead of running to MAX_STEPS.
+over them, in the base's frame that both kernels use.  Where doubles
+fix the particles too coarsely for the tolerance (far from the pole,
+off the axes), the gradient stops decreasing; the iteration then
+raises ConvergenceError after STALL_STEPS evaluations instead of
+running to MAX_STEPS.
 
 For two particles the minimizer lies on their geodesic and satisfies
 the lever rule m1 d(x, x1) = m2 d(x, x2), so it coincides with
@@ -50,13 +51,10 @@ from .geometry import (
     _step,
     check_hpoint,
     check_radius,
-    minkowski_inner,
 )
 
 __all__ = ["KarcherResult", "TangentVector", "exp_map", "karcher_mean", "karcher_solve", "log_map"]
 
-# Tangency of a vector at its base point, relative to the product scale.
-TANGENT_TOL = 1e-10
 # Evaluations in a row that lower neither the smallest gradient norm nor
 # the smallest objective seen, after which the barycenter iteration has
 # stalled at its rounding floor.  (Far from the minimizer the gradient
@@ -67,21 +65,19 @@ MAX_STEPS = 10_000
 
 
 class TangentVector(NamedTuple):
-    """Vector in the tangent plane of the sheet at ``base``.
+    """Vector in the tangent plane of the sheet at ``base``, in the base's frame.
 
-    Tangency means Minkowski-orthogonality to the base point; such
-    vectors are spacelike, so their Minkowski norm is a real length.
+    ``along`` is its component on the unit tangent at the base that
+    points away from the pole (+x at the pole), ``across`` its component
+    on that tangent turned a right angle counterclockwise.
     """
 
     base: HPoint
-    v: tuple[float, float, float]
+    along: float
+    across: float
 
     def norm(self) -> float:
-        return _norm(self.v)
-
-
-def _norm(v) -> float:
-    return math.sqrt(max(minkowski_inner(v, v), 0.0))
+        return math.hypot(self.along, self.across)
 
 
 def _tolerance(tol: float | None, radius: float) -> float:
@@ -93,42 +89,26 @@ def _tolerance(tol: float | None, radius: float) -> float:
     return tol
 
 
-def _is_tangent(base: HPoint, v, radius: float) -> bool:
-    inner = minkowski_inner(base, v)
-    scale = (radius * radius) + math.sqrt(
-        (base.x * base.x + base.y * base.y + base.z * base.z)
-        * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-    )
-    return not abs(inner) > TANGENT_TOL * scale
-
-
 def exp_map(vector: TangentVector, radius: float) -> HPoint:
-    """Follow the geodesic from the base point for arclength |v|.
+    """Follow the geodesic from the base point for arclength |vector|.
 
-    The step of geometry._step by the pole vector d_e = (v_x e_x + v_y e_y)
-    / cosh a, d_p = v_y e_x - v_x e_y (a, e: the base's rapidity and
-    heading), products only.  The zero vector returns the base point;
-    an endpoint that is not a finite double raises ValidationError.
+    The step of geometry._step by the pole vector (along, across) / R.
+    The zero vector returns the base point; an endpoint that is not a
+    finite double raises ValidationError.
     """
     radius = check_radius(radius)
     base = check_hpoint(vector.base, radius)
-    if not _is_tangent(base, vector.v, radius):
-        raise ValidationError(
-            f"vector {tuple(vector.v)!r} is not tangent at {tuple(base)!r}"
-        )
-    if _norm(vector.v) == 0.0:
+    if vector.norm() == 0.0:
         return base
-    a, ex, ey = _polar(base, radius)
-    vx, vy, _ = vector.v
-    de = (vx * ex + vy * ey) / math.cosh(a)
-    dp = vy * ex - vx * ey
     try:
-        end = _sheet_point(*_step(a, ex, ey, de / radius, dp / radius), radius)
+        step = _step(*_polar(base, radius), vector.along / radius, vector.across / radius)
+        end = _sheet_point(*step, radius)
     except OverflowError:
         end = None
     if end is None or not all(map(math.isfinite, end)):
         raise ValidationError(
-            f"vector {tuple(vector.v)!r} at {tuple(base)!r} reaches no finite sheet point"
+            f"vector {(vector.along, vector.across)!r} at {tuple(base)!r} "
+            "reaches no finite sheet point"
         )
     return end
 
@@ -136,12 +116,10 @@ def exp_map(vector: TangentVector, radius: float) -> HPoint:
 def log_map(p, q, radius: float) -> TangentVector:
     """Tangent vector at p pointing to q with |log_map(p, q)| = d(p, q).
 
-    The log d (along, across) / norm at the pole of geometry._pole_log,
-    boosted back to p (rapidity a, heading e) as
-    d_e (cosh(a) e, sinh a) + d_p (e turned by a right angle, 0).  It
-    raises NumericalError for distances beyond about 711 R, where the
-    kernel's sinh^2(t/2) passes the double range, and where a component
-    of the vector itself does.
+    The log R t (along, across) / norm at the pole of geometry._pole_log,
+    whose frame is the base's.  It raises NumericalError for distances
+    beyond about 711 R, where the kernel's sinh^2(t/2) passes the double
+    range.
     """
     radius = check_radius(radius)
     p = check_hpoint(p, radius)
@@ -150,15 +128,12 @@ def log_map(p, q, radius: float) -> TangentVector:
     b, ux, uy = _polar(q, radius)
     ca, sa = math.cosh(a), math.sinh(a)
     t, along, across = _pole_log(a, ca, sa, ex, ey, b, 0.25 * math.sinh(b), ux, uy)
+    if not t < math.inf:
+        raise NumericalError("the log map of these sheet points passes the double range")
     norm = math.hypot(along, across)
     if norm == 0.0:
-        return TangentVector(base=p, v=(0.0, 0.0, 0.0))
-    de = radius * t * (along / norm)
-    dp = radius * t * (across / norm)
-    v = (de * ca * ex - dp * ey, de * ca * ey + dp * ex, de * sa)
-    if not (t < math.inf and all(map(math.isfinite, v))):
-        raise NumericalError("the log map of these sheet points passes the double range")
-    return TangentVector(base=p, v=v)
+        return TangentVector(p, 0.0, 0.0)
+    return TangentVector(p, radius * t * (along / norm), radius * t * (across / norm))
 
 
 def _ratio_coth(t: float) -> float:

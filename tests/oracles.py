@@ -311,9 +311,12 @@ def sheet_distance_highprec(p, q, radius):
 def log_map_highprec(p, q, radius):
     """Log map at p of q for sheet points given by their x and y.
 
-    (d / (R sinh(d/R))) (q - c p) with c = -<p, q>/R^2 and d = R acosh c,
-    in high precision, with z recomputed on the sheet for both points as
-    in sheet_distance_highprec.  Returns the vector as three floats.
+    The ambient vector (d / (R sinh(d/R))) (q - c p) with
+    c = -<p, q>/R^2 and d = R acosh c, in high precision, with z
+    recomputed on the sheet for both points as in sheet_distance_highprec,
+    then projected onto the unit tangents E_r = (cosh(a) e, sinh a) and
+    E_theta = (-e_y, e_x, 0) at p (rapidity a, heading e; e = (1, 0) at
+    the pole) by the Minkowski form.  Returns (along, across) as floats.
     """
     with mp.workdps(_sheet_dps([p, q], radius)):
         r = mp.mpf(radius)
@@ -322,10 +325,14 @@ def log_map_highprec(p, q, radius):
             a.append(mp.sqrt(r * r + a[0] * a[0] + a[1] * a[1]))
         c = (p[2] * q[2] - p[0] * q[0] - p[1] * q[1]) / (r * r)
         if c <= 1:
-            return (0.0, 0.0, 0.0)
+            return (0.0, 0.0)
         d = r * mp.acosh(c)
         scale = d / (r * mp.sinh(d / r))
-        return tuple(float(scale * (b - c * a)) for a, b in zip(p, q))
+        v = [scale * (b - c * a) for a, b in zip(p, q)]
+        rho = mp.hypot(p[0], p[1])
+        ex, ey = (p[0] / rho, p[1] / rho) if rho else (mp.mpf(1), mp.mpf(0))
+        along = (v[0] * ex + v[1] * ey) * p[2] / r - v[2] * rho / r
+        return float(along), float(v[1] * ex - v[0] * ey)
 
 
 def step_highprec(a, ex, ey, de, dp, dps=60):
@@ -463,19 +470,16 @@ def karcher_mean_reference(system, tol=None, max_iter=10_000):
         math.fsum(m * p.z for m, p in zip(masses, points)) / total,
     )
     for _ in range(max_iter):
+        # Logs taken at one base share its frame, so their components add.
         logs = [log_map(current, p, radius) for p in points]
-        gx = math.fsum(m * t.v[0] for m, t in zip(masses, logs)) / total
-        gy = math.fsum(m * t.v[1] for m, t in zip(masses, logs)) / total
-        gz = math.fsum(m * t.v[2] for m, t in zip(masses, logs)) / total
-        if math.sqrt(abs(gx * gx + gy * gy - gz * gz)) < tol:
+        along = math.fsum(m * t.along for m, t in zip(masses, logs)) / total
+        across = math.fsum(m * t.across for m, t in zip(masses, logs)) / total
+        if math.hypot(along, across) < tol:
             return current
         smoothness = math.fsum(
             m * ratio_coth(t.norm() / radius) for m, t in zip(masses, logs)
         ) / total
         step = 1.0 / smoothness
-        moved = exp_map(
-            TangentVector(base=current, v=(step * gx, step * gy, step * gz)),
-            radius,
-        )
+        moved = exp_map(TangentVector(current, step * along, step * across), radius)
         current = renormalize(moved.x, moved.y, moved.z)
     return None

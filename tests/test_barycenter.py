@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -517,6 +518,15 @@ def test_com_euclidean_examples():
     # Products m w past the double range: "-inf + inf in fsum".
     assert com_euclidean([1e300, 1e300], [1e50, -1e50]) == 0.0
     assert com_euclidean([1.5e308, 1e307], [1e300j, -1e300j]) == pytest.approx(8.75e299j)
+    # A total in [0.5, 1) is not rescaled, and the quotient of this mean of
+    # the largest double rounded past it: these read inf+0j and infj.
+    top = sys.float_info.max
+    masses = [0.3480437853399698, 0.23997044751180435]
+    assert com_euclidean(masses, [top, top]) == top
+    assert com_euclidean(masses, [top * 1j, top * 1j]) == top * 1j
+    # The finite column keeps the bits it has on its own.
+    mixed = com_euclidean(masses, [top + top * 1j, top * 1j])
+    assert mixed == complex(com_euclidean(masses, [top, 0.0]).real, top)
     with pytest.raises(ValidationError):
         com_euclidean([], [])
     with pytest.raises(ValidationError):

@@ -26,7 +26,6 @@ from hypercom import (
     rotate_disk,
     unproject,
 )
-from hypercom.geometry import check_hpoint
 
 from oracles import karcher_gradient_norm_highprec, log_map_highprec, sheet_distance_highprec
 
@@ -51,12 +50,12 @@ def random_system(rng, radius=1.0, max_n=5, max_ball=0.95):
 
 def test_exp_map_zero_vector_is_base():
     p = unproject(0.3 + 0.2j, 1.0)
-    assert exp_map(TangentVector(base=p, v=(0.0, 0.0, 0.0)), 1.0) == p
+    assert exp_map(TangentVector(base=p, along=0.0, across=0.0), 1.0) == p
 
 
 def test_exp_map_from_pole_closed_form():
     for s in (0.25, 1.0, 2.5):
-        out = exp_map(TangentVector(base=POLE, v=(s, 0.0, 0.0)), 1.0)
+        out = exp_map(TangentVector(base=POLE, along=s, across=0.0), 1.0)
         assert out == pytest.approx((math.sinh(s), 0.0, math.cosh(s)), rel=1e-14)
         assert hyperboloid_distance(POLE, out, 1.0) == pytest.approx(s, rel=1e-10)
 
@@ -74,15 +73,17 @@ def test_exp_of_the_log_to_the_pole_lands_on_it_exactly_from_an_axis(rapidity, r
         assert repr(landed) == repr(pole), p  # +0.0, not -0.0
 
 
-def test_exp_map_rejects_non_tangent():
-    with pytest.raises(ValidationError):
-        exp_map(TangentVector(base=POLE, v=(0.0, 0.0, 0.5)), 1.0)
-
-
 def test_log_map_examples():
-    assert log_map(POLE, POLE, 1.0).v == (0.0, 0.0, 0.0)
+    assert log_map(POLE, POLE, 1.0) == (POLE, 0.0, 0.0)
     q = HPoint(math.sinh(1.0), 0.0, math.cosh(1.0))
-    assert log_map(POLE, q, 1.0).v == pytest.approx((1.0, 0.0, 0.0), rel=1e-12)
+    assert log_map(POLE, q, 1.0)[1:] == pytest.approx((1.0, 0.0), rel=1e-12)
+    # Away from the pole the frame turns with the base: from p on the +y
+    # axis, the point farther out on that axis lies along, and the pole
+    # straight back.
+    p = HPoint(0.0, math.sinh(1.0), math.cosh(1.0))
+    q = HPoint(0.0, math.sinh(3.0), math.cosh(3.0))
+    assert log_map(p, q, 1.0)[1:] == pytest.approx((2.0, 0.0), rel=1e-12, abs=1e-15)
+    assert log_map(p, POLE, 1.0)[1:] == pytest.approx((-1.0, 0.0), rel=1e-12, abs=1e-15)
 
 
 def test_log_map_norm_equals_distance():
@@ -106,26 +107,22 @@ def test_exp_log_roundtrips():
         back = exp_map(vec, 1.0)
         assert max(abs(a - b) for a, b in zip(back, q)) <= 1e-10
         # And the other composition, for small random tangent vectors.
-        raw = rng.uniform(-0.5, 0.5, 2)
-        v = _tangent_at(p, raw[0], raw[1])
-        recovered = log_map(p, exp_map(TangentVector(base=p, v=v), 1.0), 1.0)
-        assert max(abs(a - b) for a, b in zip(recovered.v, v)) <= 1e-10
+        along, across = rng.uniform(-0.5, 0.5, 2)
+        recovered = log_map(p, exp_map(TangentVector(p, along, across), 1.0), 1.0)
+        assert recovered[1:] == pytest.approx((along, across), abs=1e-10)
 
 
-def _far_pairs(seed, count=300, reach=40.0):
-    # R log-uniform in [0.5, 4], points out to `reach` R at random headings.
+def _far_pairs(seed, count=300, reach=40.0, radius=None):
+    # R log-uniform in [0.5, 4] unless given, points out to `reach` R at
+    # random headings.
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        radius = math.exp(rng.uniform(math.log(0.5), math.log(4.0)))
+        r = radius or math.exp(rng.uniform(math.log(0.5), math.log(4.0)))
         p, q = (
-            HPoint(
-                radius * math.sinh(s) * math.cos(h),
-                radius * math.sinh(s) * math.sin(h),
-                radius * math.cosh(s),
-            )
+            HPoint(r * math.sinh(s) * math.cos(h), r * math.sinh(s) * math.sin(h), r * math.cosh(s))
             for s, h in rng.uniform((0.0, 0.0), (reach, 2.0 * math.pi), (2, 2))
         )
-        yield p, q, radius
+        yield p, q, r
 
 
 @pytest.mark.parametrize("reach, rtol", [(5.0, 5e-15), (40.0, 5e-14)])
@@ -134,18 +131,15 @@ def test_log_map_against_mpmath(reach, rtol):
     # lost 2.4e-13 relative out to 40R and raised on some pairs.
     for p, q, radius in _far_pairs(43, reach=reach):
         want = log_map_highprec(p, q, radius)
-        got = log_map(p, q, radius).v
-        err = math.sqrt(sum((a - b) ** 2 for a, b in zip(got, want)))
-        assert err <= rtol * math.sqrt(sum(b * b for b in want))
+        assert math.dist(log_map(p, q, radius)[1:], want) <= rtol * math.hypot(*want)
 
 
 def test_log_map_near_the_top_of_the_double_range_against_mpmath():
     # r / R = 1.79e308, 710.5 R from the pole: 2 cosh(a) overflowed, and
-    # inf * 0 read the along term as nan (NumericalError), though the
-    # vector's components are about 1.3e211.  The second pair is 710.6 R
-    # apart, where sinh of the distance passes the double range too.
-    # Worst error 1.0e-13: a = 710.47 carries an ulp of 1.1e-13, which
-    # cosh(a) keeps as a relative error.
+    # inf * 0 read the along term as nan (NumericalError).  The second
+    # pair is 710.6 R apart, where sinh of the distance passes the double
+    # range too.  In the base's frame the worst error is 1.9e-16; the
+    # ambient vector lost 1.0e-13, the ulp of a = 710.47 kept by cosh(a).
     radius, far = 1e-100, 1.79e208
     near = radius * math.sinh(0.1)
     pairs = [
@@ -158,7 +152,7 @@ def test_log_map_near_the_top_of_the_double_range_against_mpmath():
     ]
     for p, q in pairs:
         want = log_map_highprec(p, q, radius)
-        assert math.dist(log_map(p, q, radius).v, want) <= 2e-13 * math.hypot(*want)
+        assert math.dist(log_map(p, q, radius)[1:], want) <= 2e-13 * math.hypot(*want)
 
 
 def test_exp_map_past_the_overflow_of_sinh_against_mpmath():
@@ -166,58 +160,57 @@ def test_exp_map_past_the_overflow_of_sinh_against_mpmath():
     # length before R scaled it down: exp_map raised ValidationError
     # "reaches no finite sheet point" for a point of coordinates 1.79e208.
     # A step that long carries an ulp of 1.1e-13, which e^t keeps as a
-    # relative error: 1.8e-13 from the exact vector, 3.0e-13 round trip.
+    # relative error: 1.9e-14 from the exact vector, 3.0e-13 round trip.
     radius, far = 1e-100, 1.79e208
     near = radius * math.sinh(0.1)
     p = (near * math.cos(2.0), near * math.sin(2.0), radius * math.cosh(0.1))
     q = (-far * math.cos(2.0), -far * math.sin(2.0), far)
-    exact = exp_map(TangentVector(base=p, v=log_map_highprec(p, q, radius)), radius)
+    exact = exp_map(TangentVector(p, *log_map_highprec(p, q, radius)), radius)
     assert math.dist(exact, q) <= 3e-13 * far
     assert math.dist(exp_map(log_map(p, q, radius), radius), q) <= 5e-13 * far
 
 
-def test_log_map_whose_vector_passes_the_double_range_fails_numerically():
-    # 707.6 R out, the vector to the pole has components near 7e309; it
-    # read (-inf, 0, -inf).
-    with pytest.raises(NumericalError, match="double range"):
-        log_map((1e307, 0.0, 1e307), POLE, 1.0)
+def test_log_map_from_past_the_ambient_double_range_against_mpmath():
+    # 707.6 R out, the ambient vector to the pole had components near
+    # 7e309 and log_map raised NumericalError; its frame components are
+    # the distance itself.
+    p = (1e307, 0.0, 1e307)
+    want = log_map_highprec(p, POLE, 1.0)
+    assert want == pytest.approx((-707.5868, 0.0), rel=1e-7)
+    got = log_map(p, POLE, 1.0)
+    assert math.dist(got[1:], want) <= 1e-15 * math.hypot(*want)
 
 
 def test_exp_map_endpoint_past_the_double_range_is_an_input_error():
     # cosh(800) overflows: this raised a bare OverflowError ("math range error").
     with pytest.raises(ValidationError, match="no finite sheet point"):
-        exp_map(TangentVector(base=POLE, v=(800.0, 0.0, 0.0)), 1.0)
-    # exp of log out to 40R: some of these raised OverflowError.  The
-    # across component of the ambient tangent vector cancels far out, so
-    # the round trip is only required to return a sheet point here.
+        exp_map(TangentVector(POLE, 800.0, 0.0), 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for along, across in ((bad, 0.0), (0.0, bad), (bad, bad)):
+            with pytest.raises(ValidationError, match="reaches no finite sheet point"):
+                exp_map(TangentVector(POLE, along, across), 1.0)
+    # exp of log out to 40R: some of these raised OverflowError.
     for p, q, radius in _far_pairs(44):
-        check_hpoint(exp_map(log_map(p, q, radius), radius), radius)
+        landed = exp_map(log_map(p, q, radius), radius)
+        assert math.dist(landed, q) <= 1e-13 * max(p[2], q[2])
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.5])
+@pytest.mark.parametrize("reach", [10.0, 20.0, 30.0])
+def test_exp_of_the_log_lands_on_q_far_from_the_pole(reach, radius):
+    # In ambient form the across component was read back as
+    # v_y e_x - v_x e_y, which cancels far out: the landing missed q by up
+    # to 1.5e-8, 1.4 and 4.9e9 max(z) out to 10, 20 and 30 R at R = 1.
+    for p, q, _ in _far_pairs(45, 100, reach, radius):
+        landed = exp_map(log_map(p, q, radius), radius)
+        assert math.dist(landed, q) <= 1e-13 * max(p.z, q.z)
 
 
 def test_exp_map_step_that_overflows_its_kernel_is_an_input_error():
     # A step 1500 R long overflows inside the step kernel, not only in
     # the endpoint it would reach.
     with pytest.raises(ValidationError, match="reaches no finite sheet point"):
-        exp_map(TangentVector(base=POLE, v=(1500.0, 0.0, 0.0)), 1.0)
-
-
-def _tangent_at(p, a, b):
-    # Span of two Minkowski-orthonormal tangent vectors at p.
-    e1 = _orthonormalize(p, (1.0, 0.0, 0.0))
-    e2 = _orthonormalize(p, (0.0, 1.0, 0.0), e1)
-    return tuple(a * x + b * y for x, y in zip(e1, e2))
-
-
-def _orthonormalize(p, v, other=None):
-    from hypercom import minkowski_inner
-
-    coef = minkowski_inner(p, v)
-    v = tuple(vi + coef * pi for vi, pi in zip(v, p))
-    if other is not None:
-        coef = minkowski_inner(other, v)
-        v = tuple(vi - coef * oi for vi, oi in zip(v, other))
-    norm = math.sqrt(minkowski_inner(v, v))
-    return tuple(vi / norm for vi in v)
+        exp_map(TangentVector(POLE, 1500.0, 0.0), 1.0)
 
 
 # --- barycenter iteration -------------------------------------------------------

@@ -59,8 +59,8 @@ RECORDS = [
     ),
     (
         TangentVector,
-        dict(base=HPoint(0.0, 0.0, 1.0), v=(0.5, 0.0, 0.0)),
-        "TangentVector(base=HPoint(x=0.0, y=0.0, z=1.0), v=(0.5, 0.0, 0.0))",
+        dict(base=HPoint(0.0, 0.0, 1.0), along=0.5, across=0.0),
+        "TangentVector(base=HPoint(x=0.0, y=0.0, z=1.0), along=0.5, across=0.0)",
     ),
     (
         KarcherResult,
