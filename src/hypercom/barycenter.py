@@ -354,7 +354,7 @@ def _centers(model: str, masses, total: float, positions, radius: float):
         means = list(map(complex, re, im or repeat(0.0)))
         centers = map(_MODELS[model][0], positions)
     else:
-        means = _means(masses, total, re, im, len(re) // n)
+        means = _means(masses, total, re, im)
         point = _sheet_center if model == HYPERBOLOID else _disk_point
         centers = map(point, means, repeat(radius))
         centers = map(attrgetter("real"), centers) if model == LINE else centers
@@ -371,7 +371,7 @@ def _sheet_center(mean: complex, radius: float) -> HPoint:
     return HPoint(x, y, z)
 
 
-def _means(masses, total: float, re, im=None, columns: int = 1) -> list[complex]:
+def _means(masses, total: float, re, im=None) -> list[complex]:
     """Mass-weighted means of columns of len(masses) values, summed exactly.
 
     ``re`` and ``im`` (None for real values) hold the columns back to back.
@@ -382,7 +382,7 @@ def _means(masses, total: float, re, im=None, columns: int = 1) -> list[complex]
     its mean past the range: it is redone from the halved values, doubled and
     held between the values, where a weighted mean lies.
     """
-    n = len(masses)
+    n, columns = len(masses), len(re) // len(masses)
     try:  # fsum raises past the double range, or over +-inf products
         if columns == 1:
             im_sum = 0.0 if im is None else math.fsum(map(mul, masses, im))

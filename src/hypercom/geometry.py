@@ -26,7 +26,8 @@ Sheet distances and the karcher module's log, exp and barycenter steps
 share one kernel, which never differences coordinates of size z: points
 as rapidity asinh(r/R) and xy heading (_polar), the boost of one point
 to the pole (_pole_log), and the boost back (_step), which is _pole_log
-seen from the opposite frame.  All functions are pure.
+seen from the opposite frame; _polar and _sheet_log, the one two-point
+entry, hold its double-range rules.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .errors import NumericalError, ValidationError
 __all__ = [
     "GeodesicSegment", "HPoint", "LPoint", "arc_between", "arclength_from_pole",
     "disk_distance", "geodesic_between", "hpoint", "hyperboloid_distance", "lpoint",
-    "minkowski_inner", "project", "project_line", "rotate_disk", "unproject",
-    "unproject_line",
+    "project", "project_line", "rotate_disk", "unproject", "unproject_line",
 ]
 
 # On-surface validation at construction; relative to the point's scale.
@@ -49,6 +49,7 @@ TOL_CONSTRUCT = 1e-9
 # Disk points with |w| > R (1 - BOUNDARY_MARGIN) are rejected outright:
 # the projection denominator R^2 - |w|^2 has lost all precision there.
 BOUNDARY_MARGIN = 1e-12
+_NORMAL = 2.2250738585072014e-308  # the smallest normal double
 
 
 class HPoint(NamedTuple):
@@ -236,19 +237,12 @@ def unproject_line(u: float, radius: float) -> LPoint:
     return LPoint(x, y)
 
 
-def minkowski_inner(p, q) -> float:
-    """Bilinear form x1 x2 + y1 y2 - z1 z2 of the ambient Minkowski space."""
-    return p[0] * q[0] + p[1] * q[1] - p[2] * q[2]
-
-
 def hyperboloid_distance(p, q, radius: float) -> float:
     """Geodesic distance between two points of the upper sheet.
 
-    Mathematically R acosh(-<p, q> / R^2); read from the rapidities and
-    headings of the points by _pole_log, so no difference of ambient
-    coordinates of size z enters, however far out the points lie.  The
-    kernel forms sinh^2(d / 2R), which passes the double range for
-    distances beyond about 710 R: NumericalError there.
+    Mathematically R acosh(-<p, q> / R^2); read by _sheet_log from the
+    rapidities and headings of the points, so no difference of ambient
+    coordinates of size z enters, however far out the points lie.
     """
     radius = check_radius(radius)
     return _sheet_distance(check_hpoint(p, radius), check_hpoint(q, radius), radius)
@@ -256,21 +250,33 @@ def hyperboloid_distance(p, q, radius: float) -> float:
 
 def _sheet_distance(p, q, radius: float) -> float:
     """Kernel of hyperboloid_distance for validated points and radius."""
+    return radius * _sheet_log(p, q, radius)[0]
+
+
+def _sheet_log(p, q, radius: float) -> tuple[float, float, float]:
+    """_pole_log's (t, along, across) of q seen from p, both validated.
+
+    Its sinh^2(t/2) passes the double range beyond about 711 R: NumericalError.
+    """
     a, ex, ey = _polar(p, radius)
     b, ux, uy = _polar(q, radius)
-    t, _, _ = _pole_log(a, math.cosh(a), math.sinh(a), ex, ey, b, 0.25 * math.sinh(b), ux, uy)
-    if not t < math.inf:
-        raise NumericalError("the sheet distance of these points passes the double range")
-    return radius * t
+    log = _pole_log(a, math.cosh(a), math.sinh(a), ex, ey, b, 0.25 * math.sinh(b), ux, uy)
+    if not log[0] < math.inf:
+        raise NumericalError("the distance of these sheet points passes the double range")
+    return log
 
 
 def _polar(p, radius: float) -> tuple[float, float, float]:
     # Rapidity asinh(r/R) and unit heading of the xy part of a sheet
-    # point; z is implied by them, so its rounding never enters.
+    # point; z is implied by them, so its rounding never enters.  Past
+    # r / R of 1.8e308 the rapidity is not a double: NumericalError.
     r = math.hypot(p[0], p[1])
     if r == 0.0:
         return 0.0, 1.0, 0.0
-    return math.asinh(r / radius), p[0] / r, p[1] / r
+    a = math.asinh(r / radius)
+    if not a < math.inf:
+        raise NumericalError(f"point {tuple(p)!r}: its rapidity passes the double range")
+    return a, p[0] / r, p[1] / r
 
 
 def _sheet_point(a: float, ex: float, ey: float, radius: float) -> HPoint:
@@ -354,7 +360,8 @@ def disk_distance(w1, w2, radius: float) -> float:
     """Geodesic distance in the disk model, in closed form in the disk.
 
     d = 2 R asinh(R |w1 - w2| / (sqrt(g1) sqrt(g2))), g = R^2 - |w|^2;
-    the roots are taken apart, as g1 g2 underflows at R = 1e-100.
+    the roots are taken apart, as g1 g2 underflows at R = 1e-100.  Where
+    R |w1 - w2| or the argument underflows, d = 2 |w1 - w2| R (R / roots).
     """
     radius = check_radius(radius)
     return _disk_distance(check_disk_point(w1, radius), check_disk_point(w2, radius), radius)
@@ -363,7 +370,10 @@ def disk_distance(w1, w2, radius: float) -> float:
 def _disk_distance(w1: complex, w2: complex, radius: float) -> float:
     """Kernel of disk_distance for validated points and radius."""
     roots = math.sqrt(_rim_gap(w1, radius)) * math.sqrt(_rim_gap(w2, radius))
-    return 2.0 * radius * math.asinh(radius * abs(w1 - w2) / roots)
+    near = radius * abs(w1 - w2)
+    if min(near, near / roots) < _NORMAL:
+        return 2.0 * abs(w1 - w2) * (radius * (radius / roots))
+    return 2.0 * radius * math.asinh(near / roots)
 
 
 def arclength_from_pole(u: float, radius: float) -> float:
@@ -417,6 +427,8 @@ class GeodesicSegment(NamedTuple):
     a + e (g / R) sinh(tT) sinh(T) / (sinh(T - tT) + sinh(tT) cosh(T) g / q),
     with g = R^2 - |a|^2 and q = R^2 - conj(a) b.  Both terms of the
     denominator have positive real parts: nothing cancels near the rim.
+    Where T < 1e-20 and (g / R) sinh(tT) sinh(T) underflows, the point is
+    on the chord, a + t (b - a), which the segment leaves by O(T) relative.
     """
 
     start: complex
@@ -435,6 +447,8 @@ class GeodesicSegment(NamedTuple):
         image = (b - a) / q
         half = 0.5 * self.length / r
         st = math.sinh(t * half)
+        if half < 1e-20 and (gap / r) * st * math.sinh(half) < _NORMAL:
+            return a + t * (b - a)
         return a + image / abs(image) * (gap / r) * st * math.sinh(half) / (
             math.sinh((1.0 - t) * half) + st * math.cosh(half) * (gap / q)
         )

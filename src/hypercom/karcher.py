@@ -21,12 +21,13 @@ step back is _step, the same kernel seen from the opposite frame; both
 read each point's rapidity asinh(r/R) and xy heading, never differences
 of ambient coordinates, so what rounding costs grows with a particle's
 distance from the iterate rather than from the pole: pairs 40R apart on
-a diameter converge in one step.  log_map and exp_map are thin wrappers
-over them, in the base's frame that both kernels use.  Where doubles
-fix the particles too coarsely for the tolerance (far from the pole,
-off the axes), the gradient stops decreasing; the iteration then
-raises ConvergenceError after STALL_STEPS evaluations instead of
-running to MAX_STEPS.
+a diameter converge in one step.  log_map (through _sheet_log) and
+exp_map are thin wrappers over them, in the base's frame that both
+kernels use, and raise _polar's NumericalError for a rapidity that is
+not a double.  Where doubles fix the particles too coarsely for the
+tolerance (far from the pole, off the axes), the gradient stops
+decreasing; the iteration then raises ConvergenceError after
+STALL_STEPS evaluations instead of running to MAX_STEPS.
 
 For two particles the minimizer lies on their geodesic and satisfies
 the lever rule m1 d(x, x1) = m2 d(x, x2), so it coincides with
@@ -47,6 +48,7 @@ from .geometry import (
     _on_sheet,
     _pole_log,
     _polar,
+    _sheet_log,
     _sheet_point,
     _step,
     check_hpoint,
@@ -116,20 +118,12 @@ def exp_map(vector: TangentVector, radius: float) -> HPoint:
 def log_map(p, q, radius: float) -> TangentVector:
     """Tangent vector at p pointing to q with |log_map(p, q)| = d(p, q).
 
-    The log R t (along, across) / norm at the pole of geometry._pole_log,
-    whose frame is the base's.  It raises NumericalError for distances
-    beyond about 711 R, where the kernel's sinh^2(t/2) passes the double
-    range.
+    The log R t (along, across) / norm of geometry._sheet_log, whose
+    frame is the base's; past that kernel's double range NumericalError.
     """
     radius = check_radius(radius)
     p = check_hpoint(p, radius)
-    q = check_hpoint(q, radius)
-    a, ex, ey = _polar(p, radius)
-    b, ux, uy = _polar(q, radius)
-    ca, sa = math.cosh(a), math.sinh(a)
-    t, along, across = _pole_log(a, ca, sa, ex, ey, b, 0.25 * math.sinh(b), ux, uy)
-    if not t < math.inf:
-        raise NumericalError("the log map of these sheet points passes the double range")
+    t, along, across = _sheet_log(p, check_hpoint(q, radius), radius)
     norm = math.hypot(along, across)
     if norm == 0.0:
         return TangentVector(p, 0.0, 0.0)
@@ -213,8 +207,8 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
     STALL_STEPS evaluations (the run is at its rounding floor) or after
     MAX_STEPS steps, with the iterate of smallest gradient norm, that
     norm and the step count attached; raises NumericalError if a
-    particle's rapidity overflows, or if rounding takes an iterate off
-    the sheet or overflows the gradient.
+    particle's rapidity is not a double (geometry._polar), or if rounding
+    takes an iterate off the sheet or overflows the gradient.
 
     The particles were validated when the system was built; the loop
     checks only its own iterate, once per iteration.
@@ -229,8 +223,6 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
     particles = []
     for m, p in zip(system.mass_column, points):
         b, ux, uy = _polar(p, radius)
-        if not b < math.inf:
-            raise NumericalError(f"particle {tuple(p)!r}: its rapidity passes the double range")
         particles.append((m / system.total_mass, b, math.sinh(b), ux, uy))
     a, ex, ey = _minkowski_start(particles)
     best_norm, best_point, best_objective, since_best = math.inf, None, math.inf, 0

@@ -207,6 +207,19 @@ def disk_distance_highprec(a, b, radius, dps=40):
         return float(_disk_distance_mp(a, b, radius))
 
 
+def disk_distance_asinh_highprec(a, b, radius, dps=50):
+    """Disk distance 2 R asinh(R |a - b| / sqrt((R^2 - |a|^2)(R^2 - |b|^2))).
+
+    The asinh form keeps close points apart where 1 + gap in the acosh
+    form rounds to 1 even at 40 digits.
+    """
+    with mp.workdps(dps):
+        r = mp.mpf(radius)
+        a, b = mp.mpc(a), mp.mpc(b)
+        roots = mp.sqrt((r * r - abs(a) ** 2) * (r * r - abs(b) ** 2))
+        return float(2 * r * mp.asinh(r * abs(a - b) / roots))
+
+
 def _disk_distance_mp(a, b, radius):
     r = mp.mpf(radius)
     a, b = mp.mpc(a), mp.mpc(b)

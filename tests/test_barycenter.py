@@ -654,6 +654,31 @@ def test_lever_point_generic_pair_contract():
         lever_point(1.0, a, 2.0, a, 1.0)
 
 
+def test_lever_point_of_close_particles_is_their_balance_point():
+    # The geodesic's product (g / R) sinh(tT) sinh(T) underflowed for
+    # close particles: the point read the nearer particle, or
+    # (b - a) / q and the length underflowed too and the division by
+    # zero ended in a traceback.  Here the segment is its chord in
+    # doubles, so the balance point is a + (m2 / M)(b - a); bases 0,
+    # 0.3 R and 0.9 R off the axis, wherever b - a is a normal double.
+    assert lever_point(1.0, 0.3, 2.0, 0.3 + 1e-200j, 1.0) == pytest.approx(
+        0.3 + 2e-200j / 3.0, abs=1e-214
+    )
+    assert lever_point(1.0, 0j, 2.0, 1e-220j, 1e100) == pytest.approx(2e-220j / 3.0, abs=1e-234)
+    assert lever_point(1.0, 3e-101, 2.0, 3e-101 + 1e-227j, 1e-100) == pytest.approx(
+        3e-101 + 2e-227j / 3.0, abs=1e-241
+    )
+    for radius in (1e-100, 1.0, 3.0, 1e100):
+        for k in range(20, 301):
+            for c in (0.0, 0.3, 0.9):
+                a = c * radius * cmath.exp(0.7j)
+                b = a + 10.0**-k * radius * cmath.exp(1.1j)
+                if min(abs((b - a).real), abs((b - a).imag)) < sys.float_info.min:
+                    continue
+                balance = lever_point(1.0, a, 2.0, b, radius)
+                assert abs(balance - (a + 2.0 / 3.0 * (b - a))) <= 1e-14 * abs(b - a)
+
+
 def test_lever_point_agrees_with_com_on_diametric_pairs():
     rng = np.random.default_rng(27)
     for _ in range(50):

@@ -884,6 +884,14 @@ def test_karcher_compare_particle_past_the_double_range_is_a_numerical_failure(t
     assert "numerical failure" in done.stderr
     assert "rapidity passes the double range" in done.stderr
     assert run_cli("com", "--input", str(path)).returncode == 0
+    # With the pole in place of the mirror: the same failure.
+    radius, far = 1e-100, (3.04e208, 0.0, 3.04e208)
+    pair = write_system(
+        tmp_path / "pole.json", radius, "hyperboloid", [(1.0, far), (2.0, (0.0, 0.0, radius))]
+    )
+    done = run_cli("karcher-compare", "--input", str(pair))
+    _one_line_failure(done, 2)
+    assert "rapidity passes the double range" in done.stderr
 
 
 def test_com_far_sheet_pair_reports_its_center(tmp_path):

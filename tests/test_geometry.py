@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from hypercom import (
     log_map,
     log_ratio,
     lpoint,
-    minkowski_inner,
     mirror_pair,
     project,
     project_line,
@@ -38,6 +38,7 @@ from hypercom import (
 
 from oracles import (
     arclength_quadrature,
+    disk_distance_asinh_highprec,
     disk_distance_highprec,
     sheet_distance_highprec,
     unproject_highprec,
@@ -77,7 +78,7 @@ def test_project_known_points():
     # Forward images of the lifted points 0.3+0.4i and 0.5.
     p = unproject(0.3 + 0.4j, 1.0)
     assert p == pytest.approx((0.8, 16.0 / 15.0, 5.0 / 3.0), rel=1e-14)
-    assert minkowski_inner(p, p) == pytest.approx(-1.0, rel=1e-12)
+    assert p.x * p.x + p.y * p.y - p.z * p.z == pytest.approx(-1.0, rel=1e-12)
     assert project(p, 1.0) == pytest.approx(0.3 + 0.4j, rel=1e-14)
 
     q = unproject(0.5 + 0j, 1.0)
@@ -289,15 +290,7 @@ def test_parallel_property():
             assert max(zs) - min(zs) <= 1e-12 * max(zs)
 
 
-# --- inner product and distances ---------------------------------------------
-
-
-def test_minkowski_inner_examples():
-    pole = HPoint(0.0, 0.0, 1.0)
-    assert minkowski_inner(pole, pole) == -1.0
-    q = HPoint(4.0 / 3.0, 0.0, 5.0 / 3.0)
-    assert minkowski_inner(pole, q) == pytest.approx(-5.0 / 3.0, rel=1e-15)
-    assert minkowski_inner(pole, q) == minkowski_inner(q, pole)
+# --- distances ---------------------------------------------------------------
 
 
 def test_distance_matches_quadrature():
@@ -330,6 +323,26 @@ def test_disk_distance_is_pullback_and_rotation_invariant():
         )
         assert abs(rotated - d) <= 1e-12 * max(1.0, radius)
     assert disk_distance(0.25j, 0.25j, 1.0) == 0.0
+
+
+def test_disk_distance_of_close_points_holds_at_every_radius():
+    # R |w1 - w2| underflowed at R = 1e-100: from separations of 1e-109 R
+    # down the distance lost digits, and 3e-101 to 3e-101 + 1e-224i read
+    # 0.0.  Against the asinh form at 50 digits (the acosh oracle reads 0
+    # there) on bases 0, 0.3 R and 0.9 R off the axis, wherever the
+    # separation is a normal double.
+    assert disk_distance(3e-101, 3e-101 + 1e-224j, 1e-100) == pytest.approx(
+        2.1978021978021978e-224, rel=2.3e-16
+    )
+    for radius in (1e-100, 1.0, 3.0, 1e100):
+        for k in range(20, 301):
+            for c in (0.0, 0.3, 0.9):
+                a = c * radius * cmath.exp(0.7j)
+                b = a + 10.0**-k * radius * cmath.exp(1.1j)
+                if min(abs((b - a).real), abs((b - a).imag)) < sys.float_info.min:
+                    continue
+                want = disk_distance_asinh_highprec(a, b, radius)
+                assert abs(disk_distance(a, b, radius) - want) <= 1e-15 * want
 
 
 def test_distance_consistent_with_pole_arclength():

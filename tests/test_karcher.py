@@ -388,3 +388,29 @@ def test_karcher_particle_whose_rapidity_passes_the_double_range_fails_numerical
     assert sheet_distance_highprec(near, mean, radius) == pytest.approx(
         2.0 * sheet_distance_highprec(pole, mean, radius), rel=1e-13
     )
+
+
+def test_every_sheet_reader_fails_numerically_at_a_rapidity_past_the_double_range():
+    # The point 711 R out at R = 1e-100 has a rapidity asinh(r / R) that
+    # is not a double.  The distance and log map raised the distance's
+    # error, and exp_map blamed its valid vector with a ValidationError.
+    from hypercom import karcher_solve
+
+    radius = 1e-100
+    far, pole = HPoint(3.04e208, 0.0, 3.04e208), HPoint(0.0, 0.0, radius)
+    readers = [
+        lambda: hyperboloid_distance(far, pole, radius),
+        lambda: hyperboloid_distance(pole, far, radius),
+        lambda: log_map(far, pole, radius),
+        lambda: log_map(pole, far, radius),
+        lambda: exp_map(TangentVector(far, radius, 0.0), radius),
+        lambda: karcher_solve(hyperboloid_system([1.0, 2.0], [far, pole], radius)),
+    ]
+    for read in readers:
+        with pytest.raises(NumericalError) as raised:
+            read()
+        assert str(raised.value) == (
+            "point (3.04e+208, 0.0, 3.04e+208): its rapidity passes the double range"
+        )
+    # The zero vector reads no rapidity: it is its base.
+    assert exp_map(TangentVector(far, 0.0, 0.0), radius) == far
