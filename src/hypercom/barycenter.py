@@ -480,4 +480,4 @@ def lever_point(m1, p1, m2, p2, radius: float) -> complex:
     """
     m1 = check_mass(m1)
     m2 = check_mass(m2)
-    return geodesic_between(p1, p2, radius).point(m2 / (m1 + m2))
+    return geodesic_between(p1, p2, radius).point(m2 / _total_mass((m1, m2)))

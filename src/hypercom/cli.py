@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     kc.add_argument("--input", required=True)
     kc.add_argument("--tol", type=float, default=None,
-                    help="gradient tolerance (default 1e-12 * radius)")
+                    help="gradient tolerance (default 1e-12 * radius); below the "
+                    "rounding floor the best iterate is returned")
     kc.add_argument("--output", default=None)
     kc.set_defaults(func=_cmd_karcher_compare)
 

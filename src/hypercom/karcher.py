@@ -24,10 +24,11 @@ distance from the iterate rather than from the pole: pairs 40R apart on
 a diameter converge in one step.  log_map (through _sheet_log) and
 exp_map are thin wrappers over them, in the base's frame that both
 kernels use, and raise _polar's NumericalError for a rapidity that is
-not a double.  Where doubles fix the particles too coarsely for the
-tolerance (far from the pole, off the axes), the gradient stops
-decreasing; the iteration then raises ConvergenceError after
-STALL_STEPS evaluations instead of running to MAX_STEPS.
+not a double.  A particle at rapidity b, t R from the iterate, is fixed
+only to R u sinh(b) across its heading (u = 2^-53), which moves its log
+by R u sinh(b) t / sinh(t); the iterate's heading adds R u sinh(a).  As
+b <= a + t, the gradient's rounding is at most R u e^a (1 + rms of t),
+the floor at which karcher_solve answers where it passes the tolerance.
 
 For two particles the minimizer lies on their geodesic and satisfies
 the lever rule m1 d(x, x1) = m2 d(x, x2), so it coincides with
@@ -45,6 +46,7 @@ from .barycenter import HYPERBOLOID, MassedSystem, _require_model
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .geometry import (
     HPoint,
+    _cosh_sinh,
     _on_sheet,
     _pole_log,
     _polar,
@@ -57,11 +59,6 @@ from .geometry import (
 
 __all__ = ["KarcherResult", "TangentVector", "exp_map", "karcher_mean", "karcher_solve", "log_map"]
 
-# Evaluations in a row that lower neither the smallest gradient norm nor
-# the smallest objective seen, after which the barycenter iteration has
-# stalled at its rounding floor.  (Far from the minimizer the gradient
-# norm can rise for several steps while the objective falls.)
-STALL_STEPS = 3
 # Safety cap on the barycenter iteration's steps.
 MAX_STEPS = 10_000
 
@@ -194,6 +191,11 @@ def _derivatives(particles, a: float, ex: float, ey: float):
     return [math.fsum(column) for column in zip(*rows)]
 
 
+def _rounding_floor(radius: float, a: float, objective: float) -> float:
+    """R 2^-53 e^a (1 + rms of t) at rapidity a, finite past a = 709.8."""
+    return sum(_cosh_sinh(radius * 2.0**-53, a)) * (1.0 + math.sqrt(objective))
+
+
 def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResult:
     """Weighted Frechet mean of a hyperboloid-model system, with its statistics.
 
@@ -202,9 +204,10 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
     steps until the mean log vector is shorter than ``tol`` (positive
     and finite; None means 1e-12 times the radius).  A Newton step that
     raises the objective is replaced by the damped gradient step from
-    the point it left.  Raises ConvergenceError when neither the
-    gradient norm nor the objective has reached a new minimum for
-    STALL_STEPS evaluations (the run is at its rounding floor) or after
+    the point it left.  Once the smallest gradient norm seen is below
+    its iterate's rounding floor (module docstring), the first
+    evaluation that does not lower it returns that iterate, so a tol
+    below the floor is answered there.  Raises ConvergenceError after
     MAX_STEPS steps, with the iterate of smallest gradient norm, that
     norm and the step count attached; raises NumericalError if a
     particle's rapidity is not a double (geometry._polar), or if rounding
@@ -225,7 +228,7 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
         b, ux, uy = _polar(p, radius)
         particles.append((m / system.total_mass, b, math.sinh(b), ux, uy))
     a, ex, ey = _minkowski_start(particles)
-    best_norm, best_point, best_objective, since_best = math.inf, None, math.inf, 0
+    best_norm = math.inf
     # Objective and damped step at the point the last Newton step left.
     left = None
     steps = 0
@@ -244,21 +247,15 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
             )
         if gradient_norm < tol:
             return KarcherResult(point, steps, gradient_norm)
-        since_best += 1
         if gradient_norm < best_norm:
-            best_norm, best_point, since_best = gradient_norm, point, 0
-        if objective < best_objective:
-            best_objective, since_best = objective, 0
-        stalled = since_best >= STALL_STEPS
-        if stalled or steps == MAX_STEPS:
+            best_norm, best, best_at = gradient_norm, (point, steps), (a, objective)
+        elif best_norm < _rounding_floor(radius, *best_at):
+            return KarcherResult(*best, best_norm)
+        if steps == MAX_STEPS:
             raise ConvergenceError(
-                f"barycenter iteration stalled at gradient norm {best_norm!r}, "
-                f"above the tolerance {tol!r}: neither it nor the objective "
-                f"decreased in {STALL_STEPS} steps"
-                if stalled
-                else f"barycenter iteration did not reach {tol!r} within "
+                f"barycenter iteration did not reach {tol!r} within "
                 f"{MAX_STEPS} steps (gradient norm {best_norm!r})",
-                last_iterate=best_point,
+                last_iterate=best[0],
                 gradient_norm=best_norm,
                 iterations=steps,
             )

@@ -120,17 +120,18 @@ def euclidean_limit_error_highprec(masses, points, radius, dps=50):
         return float(abs(r * mp.tanh(mean / 2) - flat))
 
 
-def karcher_gradient_norm_highprec(masses, points, point, radius, dps=40):
+def karcher_gradient_norm_highprec(masses, points, point, radius, dps=None):
     """Minkowski norm of the mass-weighted mean log vector at ``point``.
 
     Zero exactly at the weighted Frechet mean.  Each log vector is
     (d / (R sinh(d/R))) (q - c p) with c = -<p, q>/R^2 and d = R acosh c,
-    evaluated in high precision for the sheet points over the input
-    (x, y).  Far out, the z of a double triple is off the sheet by
-    rounding that the inner product multiplies by the other point's
-    height, so z is recomputed rather than taken as given.
+    evaluated in high precision (None: the digits of _sheet_dps over the
+    particles and ``point``) for the sheet points over the input (x, y).
+    Far out, the z of a double triple is off the sheet by rounding that
+    the inner product multiplies by the other point's height, so z is
+    recomputed rather than taken as given.
     """
-    with mp.workdps(dps):
+    with mp.workdps(dps or _sheet_dps([*points, point], radius)):
         r = mp.mpf(radius)
 
         def inner(a, b):
@@ -153,6 +154,17 @@ def karcher_gradient_norm_highprec(masses, points, point, radius, dps=40):
         total = mp.fsum(mp.mpf(m) for m in masses)
         grad = [g / total for g in grad]
         return float(mp.sqrt(abs(inner(grad, grad))))
+
+
+def sheet_floor(points, radius):
+    """Rounding floor R u max(1, sinh a_max) of sheet points, u = 2^-53.
+
+    a_max is the largest rapidity asinh(|xy| / R) among ``points``; one
+    rounding of that point's heading moves it about this far.  As
+    R sinh(asinh(rho / R)) = rho, it is u max(R, largest |xy|), finite
+    for every point doubles can hold.
+    """
+    return 2.0**-53 * max(radius, *(math.hypot(p[0], p[1]) for p in points))
 
 
 def lever_point_bisection(m1, p1, m2, p2, radius, rtol=1e-12, max_steps=200):

@@ -17,6 +17,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import hypercom.karcher as karcher
 from hypercom import (
     arclength_from_pole,
     com_disk,
@@ -36,6 +37,7 @@ from hypercom import (
     unproject,
     unproject_line,
     classify_balance,
+    cli,
 )
 from hypercom.geometry import HPoint, LPoint
 
@@ -370,7 +372,7 @@ def _run_cli(*args):
     )
 
 
-def test_c11_cli_black_box(tmp_path):
+def test_c11_cli_black_box(tmp_path, monkeypatch, capsys):
     # Exit-code contract and byte-identical reports on repeated runs.
     good = tmp_path / "pair.json"
     good.write_text(
@@ -432,8 +434,12 @@ def test_c11_cli_black_box(tmp_path):
             }
         )
     )
-    forced = _run_cli("karcher-compare", "--input", str(triple), "--tol", "1e-300")
-    assert forced.returncode == 2
+    # A tolerance below the rounding floor is answered at the floor; the
+    # step cap forces the ConvergenceError, in process.
+    assert _run_cli("karcher-compare", "--input", str(triple), "--tol", "1e-300").returncode == 0
+    monkeypatch.setattr(karcher, "MAX_STEPS", 0)
+    assert cli.main(["karcher-compare", "--input", str(triple)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
     report(
         "[criterion 11] cli black box: PASS "
         "(byte-identical reports; exit codes 0/1/2 verified)"

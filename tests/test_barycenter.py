@@ -479,10 +479,12 @@ def test_com_disk_holds_its_digits_for_points_near_the_pole(pool):
         lambda m: hyperboloid_system(m, [(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)], 1.0),
         lambda m: com_hyperboloid(m, [(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)], 1.0),
         lambda m: com_euclidean(m, [0.1, -0.2j]),
+        lambda m: lever_point(m[0], 0.3, m[1], -0.3, 1.0),
     ],
 )
 def test_total_mass_past_the_double_range_is_an_input_error(build):
-    # fsum raised "OverflowError: intermediate overflow in fsum".
+    # fsum raised "OverflowError: intermediate overflow in fsum", and
+    # lever_point's m1 + m2 rounded to inf: it returned the first particle.
     with pytest.raises(ValidationError, match="total mass exceeds"):
         build([1e308, 1e308])
 

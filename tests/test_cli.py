@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
+import hypercom.karcher as karcher
 from hypercom import cli
-from oracles import euclidean_limit_error_highprec, sheet_distance_highprec
+from oracles import euclidean_limit_error_highprec, sheet_distance_highprec, sheet_floor
 
 
 def run_cli(*args):
@@ -587,16 +588,21 @@ def test_non_finite_sheet_point_is_an_input_error(tmp_path, bad):
         assert "not on the upper sheet" in done.stderr
 
 
-def test_exit_code_forced_nonconvergence(tmp_path):
+def test_exit_code_forced_nonconvergence(tmp_path, monkeypatch, capsys):
+    # A tolerance below the rounding floor is answered at the floor, so
+    # the step cap is what forces the ConvergenceError here.
     path = write_system(
         tmp_path / "tri.json",
         1.0,
         "disk",
         [(1.0, (0.3, 0.1)), (2.0, (-0.2, 0.4)), (1.5, (0.1, -0.5))],
     )
-    done = run_cli("karcher-compare", "--input", str(path), "--tol", "1e-300")
-    assert done.returncode == 2
-    assert "numerical failure" in done.stderr
+    monkeypatch.setattr(karcher, "MAX_STEPS", 0)
+    assert cli.main(["karcher-compare", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure" in err
+    assert "within 0 steps" in err
 
 
 @pytest.mark.parametrize("field", ["radius", "mass", "coordinate"])
@@ -718,26 +724,31 @@ def _boosted(point, rapidity, heading):
     return (c * bx - s * y, s * bx + c * y, bz)
 
 
-def test_karcher_compare_far_pair_is_a_numerical_failure(tmp_path):
-    # A pair 2R apart, 20R from the pole off both axes: doubles fix each
-    # point only to about 5e-8 R across its heading, so the barycenter
-    # stalls above the default tolerance.  That is the solver's failure
-    # (exit 2), not the input's (exit 1).
+def test_karcher_compare_far_pairs_are_answered_at_the_rounding_floor(tmp_path):
+    # A pair 2R apart, 20R from the pole off both axes, and masses 1 and 2
+    # both 30R out at headings 0 and 0.1.  Doubles fix each point only to
+    # about 3e-8 R and 6e-4 R across its heading, so the barycenter's
+    # gradient norm stops above the default tolerance; the iteration
+    # raised "stalled" there (exit 2), and now answers at its rounding
+    # floor, on the pair's geodesic.
     near = _boosted((0.0, 0.0, 1.0), 20.0, 1.0)
     far = _boosted(
         (math.sinh(2.0) * math.cos(1.0), math.sinh(2.0) * math.sin(1.0), math.cosh(2.0)),
         20.0,
         1.0,
     )
-    path = write_system(
-        tmp_path / "far.json", 1.0, "hyperboloid", [(1.0, near), (2.0, far)]
-    )
-    done = run_cli("karcher-compare", "--input", str(path))
-    assert done.returncode == 2
-    assert done.stdout == ""
-    assert len(done.stderr.splitlines()) == 1
-    assert "numerical failure" in done.stderr
-    assert "stalled" in done.stderr
+    out = [(math.sinh(30.0) * math.cos(h), math.sinh(30.0) * math.sin(h), math.cosh(30.0))
+           for h in (0.0, 0.1)]
+    for name, rows in (("off-axis", [(1.0, near), (2.0, far)]),
+                       ("30R", [(1.0, out[0]), (2.0, out[1])])):
+        path = write_system(tmp_path / f"{name}.json", 1.0, "hyperboloid", rows)
+        done = run_cli("karcher-compare", "--input", str(path))
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        results = json.loads(done.stdout)["results"]
+        # m1 d1 - m2 d2 moves by at most M = 3 times the point's own move.
+        floor = sheet_floor([point for _, point in rows], 1.0)
+        assert abs(results["lever_residual_karcher"]) <= 3.0 * floor
 
 
 def test_karcher_compare_far_pair_on_the_axis_converges(tmp_path):

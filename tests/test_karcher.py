@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import hypercom.karcher as karcher
 from hypercom import (
     ConvergenceError,
     HPoint,
@@ -20,6 +21,7 @@ from hypercom import (
     hyperboloid_distance,
     hyperboloid_system,
     karcher_mean,
+    karcher_solve,
     lever_residual,
     log_map,
     project,
@@ -27,7 +29,12 @@ from hypercom import (
     unproject,
 )
 
-from oracles import karcher_gradient_norm_highprec, log_map_highprec, sheet_distance_highprec
+from oracles import (
+    karcher_gradient_norm_highprec,
+    log_map_highprec,
+    sheet_distance_highprec,
+    sheet_floor,
+)
 
 POLE = HPoint(0.0, 0.0, 1.0)
 
@@ -293,18 +300,68 @@ def test_karcher_converges_on_random_trials():
         karcher_mean(system)
 
 
-def test_karcher_convergence_failure_attributes():
+def test_karcher_tolerance_below_the_rounding_floor_is_answered_at_the_floor():
+    # 1e-300 lies below what doubles can resolve; the solver returns its
+    # best iterate there (it raised ConvergenceError) and reports the
+    # gradient norm it reached.
     rng = np.random.default_rng(37)
     system = random_system(rng)
-    with pytest.raises(ConvergenceError) as info:
-        karcher_mean(system, tol=1e-300)
-    assert info.value.last_iterate is not None
-    assert info.value.gradient_norm > 0.0
+    result = karcher_solve(system, tol=1e-300)
+    assert result.gradient_norm >= 1e-300
+    assert result.gradient_norm <= sheet_floor([*system.positions(), result.point], 1.0)
+
+
+def _far_systems(seed):
+    # Pairs out to 20R, 100R and 300R at R = 1, 1e-100 and 1e100, ten
+    # per cell, then twenty systems of 3 to 5 particles out to 40R at
+    # R = 1; distances uniform in [0, reach), masses in [0.1, 10).
+    rng = np.random.default_rng(seed)
+    shapes = [(2, reach, r) for reach in (20.0, 100.0, 300.0) for r in (1.0, 1e-100, 1e100)
+              for _ in range(10)]
+    shapes += [(int(rng.integers(3, 6)), 40.0, 1.0) for _ in range(20)]
+    for n, reach, r in shapes:
+        points = [
+            HPoint(r * math.sinh(s) * math.cos(h), r * math.sinh(s) * math.sin(h), r * math.cosh(s))
+            for s, h in rng.uniform((0.0, 0.0), (reach, 2.0 * math.pi), (n, 2))
+        ]
+        yield rng.uniform(0.1, 10.0, n).tolist(), points, r
+
+
+def test_karcher_far_systems_are_answered_within_the_rounding_floor():
+    # Far out the rounding floor of the gradient passes the default
+    # tolerance 1e-12 R; the solver raised ConvergenceError ("stalled") on
+    # 40 of these 110 systems.  The mpmath gradient norm bounds the
+    # distance to the true mean (the Hessian is at least the identity).
+    # Known gap: the iteration of about 1 in 90 pairs out to 300R wanders
+    # at gradient norms of about 30R to 170R until the step cap; such a pair
+    # still raises, there and only there.
+    for index, (masses, points, radius) in enumerate(_far_systems(53)):
+        system = hyperboloid_system(masses, points, radius)
+        try:
+            result = karcher_solve(system)
+        except ConvergenceError as error:
+            assert 60 <= index < 90 and error.iterations == karcher.MAX_STEPS
+            continue
+        gradient = karcher_gradient_norm_highprec(masses, points, result.point, radius)
+        assert gradient <= max(1e-12 * radius, sheet_floor([*points, result.point], radius))
+
+
+def test_karcher_far_pair_stops_at_the_floor_of_its_iterate():
+    # 94.5R and 22.4R out.  A floor read from the farthest particle,
+    # R 2^-53 sinh(94.5) = 6e24 R, passes the gradient norm 23R of the
+    # Minkowski start, which such a rule returned, 21.6R from the mean.
+    # The iteration's own floor is that of its iterate; the solver
+    # raised "stalled" here.
+    masses = [4.158281159248235, 9.19938368363761]
+    points = [
+        (-3.8130335147350104e40, -3.9161287737238716e40, 5.465829228660594e40),
+        (-32674663.57250493, 2696061103.243044, 2696259094.75697),
+    ]
+    result = karcher_solve(hyperboloid_system(masses, points, 1.0))
+    assert karcher_gradient_norm_highprec(masses, points, result.point, 1.0) <= 1e-9
 
 
 def test_karcher_step_cap_raises_convergence_error(monkeypatch):
-    import hypercom.karcher as karcher
-
     # This system converges in 3 steps.
     points = [
         (0.0, 0.0, 1.0),

@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 
 from hypercom import (
     CenterOfMass,
-    ConvergenceError,
     HPoint,
     KarcherResult,
     MassedSystem,
@@ -73,6 +72,7 @@ from oracles import (
     lever_residual_highprec,
     rotation_sweep_reference,
     sheet_distance_highprec,
+    sheet_floor,
     step_highprec,
     system_reference,
 )
@@ -375,20 +375,18 @@ def _off_axis_far_pair(rapidity):
 
 def test_karcher_far_pairs_stop_early():
     # On the axis every far pair converges; off the axes a pair 20R out
-    # stalls at its rounding floor.  Neither runs to MAX_STEPS.
+    # stops at its rounding floor, above the default tolerance, and
+    # returns the best iterate (it raised ConvergenceError when the
+    # gradient norm stalled there).  Neither runs to MAX_STEPS.
     for spread in range(12, 41, 2):
         _, system = _far_pair(float(spread))
         assert karcher_solve(system).iterations <= 50
     points, system = _off_axis_far_pair(20.0)
-    with pytest.raises(ConvergenceError) as info:
-        karcher_solve(system)
-    error = info.value
-    assert "stalled" in str(error)
-    assert error.iterations <= 50
-    assert error.gradient_norm > 1e-12
-    best = error.last_iterate
-    gradient = karcher_gradient_norm_highprec([1.0, 2.0], points, best, 1.0)
-    assert gradient <= 1e-10 * best.z
+    result = karcher_solve(system)
+    assert result.iterations <= 50
+    assert result.gradient_norm > 1e-12
+    gradient = karcher_gradient_norm_highprec([1.0, 2.0], points, result.point, 1.0)
+    assert gradient <= sheet_floor([*points, result.point], 1.0)
 
 
 @pytest.mark.parametrize("rapidity", [10.0, 20.0, 30.0])
