@@ -48,12 +48,12 @@ from typing import NamedTuple
 
 from .errors import NumericalError, ValidationError
 from .geometry import (
+    GeodesicSegment,
     HPoint,
     check_disk_point,
     check_hpoint,
     check_interval_point,
     check_radius,
-    geodesic_between,
     _asinh_ratio,
     _cosh_sinh,
     _disk_distance,
@@ -472,7 +472,7 @@ def to_hyperboloid_system(system: MassedSystem) -> MassedSystem:
 
 
 def lever_point(m1, p1, m2, p2, radius: float) -> complex:
-    """Balance point on the geodesic segment from p1 to p2.
+    """Balance point on the geodesic segment from p1 to p2, or their common point.
 
     On the constant-speed geodesic from p1 the residual
     m1 d(p1, c) - m2 d(p2, c) is (m1 + m2) t L - m2 L at parameter t, so
@@ -480,4 +480,9 @@ def lever_point(m1, p1, m2, p2, radius: float) -> complex:
     """
     m1 = check_mass(m1)
     m2 = check_mass(m2)
-    return geodesic_between(p1, p2, radius).point(m2 / _total_mass((m1, m2)))
+    radius = check_radius(radius)
+    p1, p2 = check_disk_point(p1, radius), check_disk_point(p2, radius)
+    if p1 == p2:
+        return p1
+    length = _disk_distance(p1, p2, radius)
+    return GeodesicSegment(p1, p2, radius, length).point(m2 / _total_mass((m1, m2)))

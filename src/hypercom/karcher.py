@@ -20,25 +20,31 @@ The boost is the geometry module's sheet kernel _pole_log, and the
 step back is _step, the same kernel seen from the opposite frame; both
 read each point's rapidity asinh(r/R) and xy heading, never differences
 of ambient coordinates, so what rounding costs grows with a particle's
-distance from the iterate rather than from the pole: pairs 40R apart on
-a diameter converge in one step.  log_map (through _sheet_log) and
-exp_map are thin wrappers over them, in the base's frame that both
-kernels use, and raise _polar's NumericalError for a rapidity that is
-not a double.  A particle at rapidity b, t R from the iterate, is fixed
-only to R u sinh(b) across its heading (u = 2^-53), which moves its log
-by R u sinh(b) t / sinh(t); the iterate's heading adds R u sinh(a).  As
-b <= a + t, the gradient's rounding is at most R u e^a (1 + rms of t),
-the floor at which karcher_solve answers where it passes the tolerance.
+distance from the iterate rather than from the pole.  log_map (through
+_sheet_log) and exp_map are thin wrappers over them, in the base's frame
+that both kernels use, and raise _polar's NumericalError for a rapidity
+that is not a double.  A particle at rapidity b, t R from the iterate,
+is fixed only to R u sinh(b) across its heading (u = 2^-53), which moves
+its log by R u sinh(b) t / sinh(t); the iterate's heading adds
+R u sinh(a).  As b <= a + t, the gradient's rounding is at most
+R u e^a (1 + rms of t): the floor at which karcher_solve answers.
 
-For two particles the minimizer lies on their geodesic and satisfies
-the lever rule m1 d(x, x1) = m2 d(x, x2), so it coincides with
-barycenter.lever_point.  For three or more particles off a common
-diameter it generally differs from com_disk; the CLI reports that gap
-rather than asserting anything about it.
+Particles on one geodesic, any two or all at headings +-e of the
+heaviest as in every lifted line system, need no iteration: their logs
+from a point of it are collinear, the Hessian is 1 along them, and the
+minimizer is the point at the weighted mean signed arclength, for a pair
+the lever point m1 d(x, x1) = m2 d(x, x2) of barycenter.lever_point.
+karcher_solve steps there from the heaviest particle by the mean of its
+logs.  _step rounds the rapidity it reaches by a few ulps; where the
+floor is below R, one Newton step in polar form, a + de and the heading
+turned by dp / sinh a, mends that, and the point of smaller gradient
+norm is the answer.  Off one geodesic the minimizer generally differs
+from com_disk; the CLI reports that gap rather than asserting anything.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -127,14 +133,6 @@ def log_map(p, q, radius: float) -> TangentVector:
     return TangentVector(p, radius * t * (along / norm), radius * t * (across / norm))
 
 
-def _ratio_coth(t: float) -> float:
-    # t coth t, extended by its limit 1 at t = 0; the tangential Hessian
-    # eigenvalue of half the squared distance at geodesic distance t R.
-    if t < 1e-8:
-        return 1.0
-    return t / math.tanh(t)
-
-
 class KarcherResult(NamedTuple):
     """Barycenter, the number of steps taken to it and its gradient norm."""
 
@@ -166,10 +164,10 @@ def _minkowski_start(particles) -> tuple[float, float, float]:
 
 
 def _derivatives(particles, a: float, ex: float, ey: float):
-    """Objective, gradient, Hessian and smoothness at the iterate (a, ex, ey).
+    """Objective, gradient, Newton step and smoothness at the iterate (a, ex, ey).
 
-    Means in the weights m / M over the particles seen from the iterate
-    by geometry._pole_log, in units of R.
+    Means in the weights m / M of the particles seen from the iterate by
+    geometry._pole_log, in units of R; the Newton step is H^-1 of the gradient.
     """
     ca, sa = math.cosh(a), math.sinh(a)
     rows = []
@@ -178,7 +176,8 @@ def _derivatives(particles, a: float, ex: float, ey: float):
         norm = math.hypot(along, across)
         # A particle at the iterate (t = 0) has any heading; take e.
         vx, vy = (along / norm, across / norm) if norm else (1.0, 0.0)
-        f = _ratio_coth(t)
+        # t coth t, 1 at t = 0: the Hessian's eigenvalue across the log.
+        f = 1.0 if t < 1e-8 else t / math.tanh(t)
         rows.append((
             m * t * t,
             m * t * vx,
@@ -188,7 +187,9 @@ def _derivatives(particles, a: float, ex: float, ey: float):
             m * (vy * vy + f * vx * vx),
             m * f,
         ))
-    return [math.fsum(column) for column in zip(*rows)]
+    objective, ge, gp, hee, hep, hpp, smoothness = [math.fsum(column) for column in zip(*rows)]
+    det = hee * hpp - hep * hep
+    return objective, ge, gp, (hpp * ge - hep * gp) / det, (hee * gp - hep * ge) / det, smoothness
 
 
 def _rounding_floor(radius: float, a: float, objective: float) -> float:
@@ -199,13 +200,16 @@ def _rounding_floor(radius: float, a: float, objective: float) -> float:
 def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResult:
     """Weighted Frechet mean of a hyperboloid-model system, with its statistics.
 
-    Starts from the mass-weighted Minkowski average rescaled onto the
-    sheet (always on-sheet and inside the convex hull) and takes Newton
-    steps until the mean log vector is shorter than ``tol`` (positive
-    and finite; None means 1e-12 times the radius).  A Newton step that
-    raises the objective is replaced by the damped gradient step from
-    the point it left.  Once the smallest gradient norm seen is below
-    its iterate's rounding floor (module docstring), the first
+    Particles on one geodesic are answered in closed form (module
+    docstring), in 0 steps or 1 for the polishing step, at any ``tol``;
+    where their logs pass the double range (beyond about 710 R apart),
+    by the iteration.  It starts from the mass-weighted Minkowski
+    average rescaled onto the sheet (always on-sheet and inside the
+    convex hull) and takes Newton steps until the mean log vector is
+    shorter than ``tol`` (positive and finite; None means 1e-12 times
+    the radius).  A Newton step that raises the objective is replaced by
+    the damped gradient step from the point it left.  Once the smallest
+    gradient norm seen is below its iterate's rounding floor, the first
     evaluation that does not lower it returns that iterate, so a tol
     below the floor is answered there.  Raises ConvergenceError after
     MAX_STEPS steps, with the iterate of smallest gradient norm, that
@@ -227,6 +231,20 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
     for m, p in zip(system.mass_column, points):
         b, ux, uy = _polar(p, radius)
         particles.append((m / system.total_mass, b, math.sinh(b), ux, uy))
+    _, a, _, ex, ey = max(particles)  # the heaviest; of equal weights the farthest out
+    if len(particles) == 2 or all((ux, uy) in ((ex, ey), (-ex, -ey)) for *_, ux, uy in particles):
+        # On one geodesic: the closed form, polished where its floor is below R.
+        a, ex, ey = _step(a, ex, ey, *_derivatives(particles, a, ex, ey)[1:3])
+        objective, ge, gp, de, dp, _ = _derivatives(particles, a, ex, ey)
+        answers = [(radius * math.hypot(ge, gp), 0, a, ex, ey)]
+        if _rounding_floor(radius, a, objective) < radius:
+            turn = complex(ex, ey) * cmath.rect(1.0, math.atan2(dp, math.sinh(a)))
+            polished = max(a + de, 0.0), turn.real, turn.imag
+            _, ge, gp, *_ = _derivatives(particles, *polished)
+            answers.append((radius * math.hypot(ge, gp), 1, *polished))
+        norm, steps, *at = min(answers)
+        if norm < math.inf:
+            return KarcherResult(_sheet_point(*at, radius), steps, norm)
     a, ex, ey = _minkowski_start(particles)
     best_norm = math.inf
     # Objective and damped step at the point the last Newton step left.
@@ -239,7 +257,7 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
                 f"barycenter iterate left the sheet: point {tuple(point)!r} "
                 f"is not on the upper sheet for radius {radius!r}"
             )
-        objective, ge, gp, hee, hep, hpp, smoothness = _derivatives(particles, a, ex, ey)
+        objective, ge, gp, de, dp, smoothness = _derivatives(particles, a, ex, ey)
         gradient_norm = radius * math.hypot(ge, gp)
         if not math.isfinite(gradient_norm):
             raise NumericalError(
@@ -265,13 +283,10 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
             _, a, ex, ey, (de, dp) = left
             left = None
         else:
-            # Inverse of the smoothness bound sum of m_k (d_k/R) coth(d_k/R)
-            # for the fallback; never above 1, exactly 1 in the coincident limit.
+            # Take the Newton step; keep for the fallback the gradient step
+            # over the smoothness bound, the mean of (d_k/R) coth(d_k/R) >= 1.
             damped = (ge / smoothness, gp / smoothness)
             left = (objective, a, ex, ey, damped)
-            det = hee * hpp - hep * hep
-            de = (hpp * ge - hep * gp) / det
-            dp = (hee * gp - hep * ge) / det
         a, ex, ey = _step(a, ex, ey, de, dp)
         steps += 1
 

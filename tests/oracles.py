@@ -167,6 +167,41 @@ def sheet_floor(points, radius):
     return 2.0**-53 * max(radius, *(math.hypot(p[0], p[1]) for p in points))
 
 
+def pair_mean_highprec(masses, points, radius):
+    """Barycenter of two sheet points by the lever rule, in high precision.
+
+    The point (sinh((1 - f) d) P + sinh(f d) Q) / sinh d at the fraction
+    f = m2 / M of the geodesic from P to Q, d their distance in units of
+    R, with z recomputed on the sheet for both as in
+    sheet_distance_highprec; never the log of the library's kernels.
+    Returns the (x, y, z) mpf triple.
+    """
+    with mp.workdps(_sheet_dps(points, radius)):
+        r = mp.mpf(radius)
+        f = mp.mpf(masses[1]) / (mp.mpf(masses[0]) + mp.mpf(masses[1]))
+        p, q = ([mp.mpf(a[0]), mp.mpf(a[1])] for a in points)
+        for a in (p, q):
+            a.append(mp.sqrt(r * r + a[0] * a[0] + a[1] * a[1]))
+        d = mp.acosh(max(1, (p[2] * q[2] - p[0] * q[0] - p[1] * q[1]) / (r * r)))
+        if d == 0:
+            return tuple(p)
+        return tuple((mp.sinh((1 - f) * d) * a + mp.sinh(f * d) * b) / mp.sinh(d) for a, b in zip(p, q))
+
+
+def line_mean_highprec(masses, points, radius):
+    """Barycenter of sheet points on the x axis (y = 0), in high precision.
+
+    On that geodesic the signed rapidity asinh(x / R) is the signed
+    arclength from the pole in units of R, so the barycenter lies at the
+    mass-weighted mean rapidity.  Returns the (x, y, z) mpf triple.
+    """
+    with mp.workdps(_sheet_dps(points, radius)):
+        r = mp.mpf(radius)
+        total = mp.fsum(mp.mpf(m) for m in masses)
+        mean = mp.fsum(mp.mpf(m) * mp.asinh(mp.mpf(p[0]) / r) for m, p in zip(masses, points)) / total
+        return (r * mp.sinh(mean), mp.mpf(0), r * mp.cosh(mean))
+
+
 def lever_point_bisection(m1, p1, m2, p2, radius, rtol=1e-12, max_steps=200):
     """Two-body balance point by bisection on the geodesic parameter.
 

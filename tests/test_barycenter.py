@@ -652,8 +652,23 @@ def test_lever_point_generic_pair_contract():
     total = disk_distance(a, b, 1.0)
     on_curve = disk_distance(a, balance, 1.0) + disk_distance(balance, b, 1.0)
     assert abs(on_curve - total) <= 1e-9
-    with pytest.raises(ValidationError):
-        lever_point(1.0, a, 2.0, a, 1.0)
+
+
+def test_lever_point_of_coincident_particles_is_their_point():
+    # It raised ValidationError "degenerate geodesic: endpoints (0.3+0j)
+    # coincide", blaming a valid pair whose com_disk and karcher_mean are
+    # that point.  A geodesic segment still needs two distinct ends, and
+    # invalid input is still refused first.
+    for w, radius in ((0.3, 1.0), (0.3 - 0.2j, 1.0), (3e-101j, 1e-100), (-5e99 + 1e99j, 1e100)):
+        assert lever_point(1.0, w, 2.0, w, radius) == complex(w)
+        assert type(lever_point(1.0, w, 2.0, w, radius)) is complex
+    assert lever_point(1.0, 0.3 + 0j, 2.0, 0.3 - 0j, 1.0) == 0.3
+    with pytest.raises(ValidationError, match="degenerate geodesic"):
+        geodesic_between(0.3, 0.3, 1.0)
+    with pytest.raises(ValidationError, match="not inside the disk"):
+        lever_point(1.0, 1.5, 2.0, 1.5, 1.0)
+    with pytest.raises(ValidationError, match="mass must be positive"):
+        lever_point(0.0, 0.3, 2.0, 0.3, 1.0)
 
 
 def test_lever_point_of_close_particles_is_their_balance_point():

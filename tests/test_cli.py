@@ -18,7 +18,12 @@ import pytest
 
 import hypercom.karcher as karcher
 from hypercom import cli
-from oracles import euclidean_limit_error_highprec, sheet_distance_highprec, sheet_floor
+from oracles import (
+    euclidean_limit_error_highprec,
+    pair_mean_highprec,
+    sheet_distance_highprec,
+    sheet_floor,
+)
 
 
 def run_cli(*args):
@@ -749,6 +754,23 @@ def test_karcher_compare_far_pairs_are_answered_at_the_rounding_floor(tmp_path):
         # m1 d1 - m2 d2 moves by at most M = 3 times the point's own move.
         floor = sheet_floor([point for _, point in rows], 1.0)
         assert abs(results["lever_residual_karcher"]) <= 3.0 * floor
+
+
+def test_karcher_compare_answers_a_far_pair_the_iteration_could_not(tmp_path):
+    # 170.7R and 218.7R out at R = 1e-100, headings 172 degrees apart: the
+    # Newton iteration wandered for all 10,000 steps and exited 2.  The
+    # pair's barycenter is its lever point, found in closed form.
+    rows = [
+        (4.48381524637585, (6.677262637037042e-27, -4.609145987026273e-28, 6.693151618727016e-27)),
+        (8.710846656182762, (-4.868478111372277e-06, 1.0377670135845043e-06, 4.9778549090341185e-06)),
+    ]
+    path = write_system(tmp_path / "far.json", 1e-100, "hyperboloid", rows)
+    done = run_cli("karcher-compare", "--input", str(path))
+    assert done.returncode == 0, done.stderr
+    mean = json.loads(done.stdout)["results"]["karcher_hyperboloid"]
+    masses, points = [m for m, _ in rows], [c for _, c in rows]
+    want = pair_mean_highprec(masses, points, 1e-100)
+    assert sheet_distance_highprec(mean, want, 1e-100) <= sheet_floor([*points, mean], 1e-100)
 
 
 def test_karcher_compare_far_pair_on_the_axis_converges(tmp_path):
