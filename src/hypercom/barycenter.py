@@ -48,7 +48,6 @@ from typing import NamedTuple
 
 from .errors import NumericalError, ValidationError
 from .geometry import (
-    GeodesicSegment,
     HPoint,
     check_disk_point,
     check_hpoint,
@@ -63,6 +62,7 @@ from .geometry import (
     _line_halves,
     _on_sheet_column,
     _project,
+    _segment,
     _unproject,
 )
 
@@ -480,9 +480,4 @@ def lever_point(m1, p1, m2, p2, radius: float) -> complex:
     """
     m1 = check_mass(m1)
     m2 = check_mass(m2)
-    radius = check_radius(radius)
-    p1, p2 = check_disk_point(p1, radius), check_disk_point(p2, radius)
-    if p1 == p2:
-        return p1
-    length = _disk_distance(p1, p2, radius)
-    return GeodesicSegment(p1, p2, radius, length).point(m2 / _total_mass((m1, m2)))
+    return _segment(p1, p2, radius).point(m2 / _total_mass((m1, m2)))

@@ -471,11 +471,16 @@ def _rim_gap(w: complex, radius: float) -> float:
 
 def geodesic_between(a, b, radius: float) -> GeodesicSegment:
     """Geodesic segment joining two distinct disk points."""
+    segment = _segment(a, b, radius)
+    if segment.start == segment.end:
+        raise ValidationError(f"degenerate geodesic: endpoints {segment.start!r} coincide")
+    return segment
+
+
+def _segment(a, b, radius: float) -> GeodesicSegment:
+    """Segment from a to b, validated; where a == b every point of it is a."""
     radius = check_radius(radius)
-    a = check_disk_point(a, radius)
-    b = check_disk_point(b, radius)
-    if a == b:
-        raise ValidationError(f"degenerate geodesic: endpoints {a!r} coincide")
+    a, b = check_disk_point(a, radius), check_disk_point(b, radius)
     return GeodesicSegment(a, b, radius, _disk_distance(a, b, radius))
 
 

@@ -35,16 +35,14 @@ from a point of it are collinear, the Hessian is 1 along them, and the
 minimizer is the point at the weighted mean signed arclength, for a pair
 the lever point m1 d(x, x1) = m2 d(x, x2) of barycenter.lever_point.
 karcher_solve steps there from the heaviest particle by the mean of its
-logs.  _step rounds the rapidity it reaches by a few ulps; where the
-floor is below R, one Newton step in polar form, a + de and the heading
-turned by dp / sinh a, mends that, and the point of smaller gradient
-norm is the answer.  Off one geodesic the minimizer generally differs
-from com_disk; the CLI reports that gap rather than asserting anything.
+logs; where the floor is below R, the Newton step (de, dp) there, added
+in x and y as R (cosh(a) de e + dp e'), e' the heading e turned a right
+angle, polishes the last bits.  Off one geodesic the minimizer generally
+differs from com_disk; the CLI reports that gap rather than asserting it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import NamedTuple
 
@@ -233,18 +231,20 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
         particles.append((m / system.total_mass, b, math.sinh(b), ux, uy))
     _, a, _, ex, ey = max(particles)  # the heaviest; of equal weights the farthest out
     if len(particles) == 2 or all((ux, uy) in ((ex, ey), (-ex, -ey)) for *_, ux, uy in particles):
-        # On one geodesic: the closed form, polished where its floor is below R.
+        # On one geodesic: the closed form, polished in x and y where its floor is below R.
         a, ex, ey = _step(a, ex, ey, *_derivatives(particles, a, ex, ey)[1:3])
-        objective, ge, gp, de, dp, _ = _derivatives(particles, a, ex, ey)
-        answers = [(radius * math.hypot(ge, gp), 0, a, ex, ey)]
+        objective, _, _, de, dp, _ = _derivatives(particles, a, ex, ey)
+        point, steps, at = _sheet_point(a, ex, ey, radius), 0, (a, ex, ey)
         if _rounding_floor(radius, a, objective) < radius:
-            turn = complex(ex, ey) * cmath.rect(1.0, math.atan2(dp, math.sinh(a)))
-            polished = max(a + de, 0.0), turn.real, turn.imag
-            _, ge, gp, *_ = _derivatives(particles, *polished)
-            answers.append((radius * math.hypot(ge, gp), 1, *polished))
-        norm, steps, *at = min(answers)
+            z, s = _cosh_sinh(radius, a)
+            x = s * ex + (z * de * ex - radius * dp * ey)
+            y = s * ey + (z * de * ey + radius * dp * ex)
+            point, steps = HPoint(x, y, math.hypot(radius, x, y)), 1
+            at = _polar(point, radius)
+        _, ge, gp, *_ = _derivatives(particles, *at)
+        norm = radius * math.hypot(ge, gp)
         if norm < math.inf:
-            return KarcherResult(_sheet_point(*at, radius), steps, norm)
+            return KarcherResult(point, steps, norm)
     a, ex, ey = _minkowski_start(particles)
     best_norm = math.inf
     # Objective and damped step at the point the last Newton step left.
