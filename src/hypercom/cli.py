@@ -44,6 +44,7 @@ from .equilibria import (
     EQUALITY_RTOL,
     MAX_SWEEP_ANGLES,
     SWEEP_ANGLES,
+    _sweep_count,
     classify_balance,
     rotation_sweep,
 )
@@ -64,7 +65,7 @@ from .geometry import (
     project,
     unproject,
 )
-from .karcher import _tolerance, karcher_mean
+from .karcher import GRADIENT_TOL, karcher_mean
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -135,6 +136,7 @@ def _cmd_com(args) -> str:
 
 def _cmd_equilibrium(args) -> str:
     radius = args.radius
+    _sweep_count(args.angles)  # the whole count, before classify_balance can fail first
     verdict = classify_balance(args.m1, args.m2, args.alpha, radius)
     # The balanced pair at the partner radius classify_balance certified.
     system = disk_system(
@@ -233,8 +235,7 @@ def _cmd_limit_sweep(args) -> str:
 def _cmd_karcher_compare(args) -> str:
     system, digest = load_system(args.input)
     radius = system.radius
-    tol = _tolerance(args.tol, radius)
-    mean_point = karcher_mean(to_hyperboloid_system(system), tol)
+    mean_point = karcher_mean(to_hyperboloid_system(system))
     mean_disk = _project(mean_point, radius)
     if cmath.isinf(mean_disk):
         raise NumericalError(
@@ -268,7 +269,7 @@ def _cmd_karcher_compare(args) -> str:
         "model": system.model,
         "radius": radius,
         "results": results,
-        "tolerances": {"karcher_gradient": tol},
+        "tolerances": {"karcher_gradient": GRADIENT_TOL * radius},
     }
     return report_text(report)
 
@@ -325,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="averaging formula versus the Riemannian barycenter",
     )
     kc.add_argument("--input", required=True)
-    kc.add_argument("--tol", type=float, default=None,
-                    help="gradient tolerance (default 1e-12 * radius); below the "
-                    "rounding floor the best iterate is returned")
     kc.add_argument("--output", default=None)
     kc.set_defaults(func=_cmd_karcher_compare)
 

@@ -226,9 +226,8 @@ class RotationSweep(NamedTuple):
     max_center_abs: float
 
 
-def uniform_angles(count: int) -> list[float]:
-    """The uniform grid 2 pi k / count, k = 0, ..., count - 1, for an integer
-    count from 1 to MAX_SWEEP_ANGLES; the count is checked before the grid exists."""
+def _sweep_count(count: int) -> int:
+    """count as an integer from 1 to MAX_SWEEP_ANGLES, or a ValidationError."""
     try:
         n = index(count)
     except TypeError:
@@ -239,6 +238,13 @@ def uniform_angles(count: int) -> list[float]:
         raise ValidationError(
             f"a rotation sweep takes at most {MAX_SWEEP_ANGLES} angles, got count {count!r}"
         )
+    return n
+
+
+def uniform_angles(count: int) -> list[float]:
+    """The uniform grid 2 pi k / count, k = 0, ..., count - 1, for an integer
+    count from 1 to MAX_SWEEP_ANGLES; the count is checked before the grid exists."""
+    n = _sweep_count(count)
     return [2.0 * math.pi * k / n for k in range(n)]
 
 

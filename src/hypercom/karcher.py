@@ -66,6 +66,9 @@ __all__ = ["KarcherResult", "TangentVector", "exp_map", "karcher_mean", "karcher
 # Safety cap on the barycenter iteration's steps.
 MAX_STEPS = 10_000
 
+# The iteration stops once the gradient norm is below this many R.
+GRADIENT_TOL = 1e-12
+
 
 class TangentVector(NamedTuple):
     """Vector in the tangent plane of the sheet at ``base``, in the base's frame.
@@ -81,15 +84,6 @@ class TangentVector(NamedTuple):
 
     def norm(self) -> float:
         return math.hypot(self.along, self.across)
-
-
-def _tolerance(tol: float | None, radius: float) -> float:
-    """The gradient tolerance: positive and finite, or 1e-12 R for None."""
-    if tol is None:
-        return 1e-12 * radius
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tolerance must be positive, got {tol!r}")
-    return tol
 
 
 def exp_map(vector: TangentVector, radius: float) -> HPoint:
@@ -195,32 +189,31 @@ def _rounding_floor(radius: float, a: float, objective: float) -> float:
     return sum(_cosh_sinh(radius * 2.0**-53, a)) * (1.0 + math.sqrt(objective))
 
 
-def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResult:
+def karcher_solve(system: MassedSystem) -> KarcherResult:
     """Weighted Frechet mean of a hyperboloid-model system, with its statistics.
 
     Particles on one geodesic are answered in closed form (module
-    docstring), in 0 steps or 1 for the polishing step, at any ``tol``;
-    where their logs pass the double range (beyond about 710 R apart),
-    by the iteration.  It starts from the mass-weighted Minkowski
-    average rescaled onto the sheet (always on-sheet and inside the
-    convex hull) and takes Newton steps until the mean log vector is
-    shorter than ``tol`` (positive and finite; None means 1e-12 times
-    the radius).  A Newton step that raises the objective is replaced by
-    the damped gradient step from the point it left.  Once the smallest
-    gradient norm seen is below its iterate's rounding floor, the first
-    evaluation that does not lower it returns that iterate, so a tol
-    below the floor is answered there.  Raises ConvergenceError after
-    MAX_STEPS steps, with the iterate of smallest gradient norm, that
-    norm and the step count attached; raises NumericalError if a
-    particle's rapidity is not a double (geometry._polar), or if rounding
-    takes an iterate off the sheet or overflows the gradient.
+    docstring), in 0 steps or 1 for the polishing step; where their logs
+    pass the double range (beyond about 710 R apart), by the iteration.
+    It starts from the mass-weighted Minkowski average rescaled onto the
+    sheet (always on-sheet and inside the convex hull) and takes Newton
+    steps until the mean log vector is shorter than GRADIENT_TOL R.  A
+    Newton step that raises the objective is replaced by the damped
+    gradient step from the point it left.  Once the smallest gradient
+    norm seen is below its iterate's rounding floor, the first
+    evaluation that does not lower it returns that iterate.  Raises
+    ConvergenceError after MAX_STEPS steps, with the iterate of smallest
+    gradient norm, that norm and the step count attached; raises
+    NumericalError if a particle's rapidity is not a double
+    (geometry._polar), or if rounding takes an iterate off the sheet or
+    overflows the gradient.
 
     The particles were validated when the system was built; the loop
     checks only its own iterate, once per iteration.
     """
     _require_model(system, HYPERBOLOID)
     radius = system.radius
-    tol = _tolerance(tol, radius)
+    tol = GRADIENT_TOL * radius
     points = system.position_column
     if len(points) == 1:
         return KarcherResult(points[0], 0, 0.0)
@@ -291,6 +284,6 @@ def karcher_solve(system: MassedSystem, tol: float | None = None) -> KarcherResu
         steps += 1
 
 
-def karcher_mean(system: MassedSystem, tol: float | None = None) -> HPoint:
+def karcher_mean(system: MassedSystem) -> HPoint:
     """Weighted Frechet mean of a hyperboloid-model system: karcher_solve's point."""
-    return karcher_solve(system, tol).point
+    return karcher_solve(system).point

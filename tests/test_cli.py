@@ -483,16 +483,16 @@ def test_karcher_compare_generic_triple_reproducible(tmp_path):
 
 
 def test_karcher_compare_checks_its_tolerance_and_reports_the_one_it_used(tmp_path):
+    # The tolerance is karcher.GRADIENT_TOL R, not an option.
     readme, _, _ = _readme_system(tmp_path)
-    done = run_cli("karcher-compare", "--input", str(readme), "--tol", "-1")
+    done = run_cli("karcher-compare", "--input", str(readme), "--tol", "1e-10")
     _one_line_failure(done, 1)
-    assert "tolerance must be positive" in done.stderr
+    assert "unrecognized arguments: --tol 1e-10" in done.stderr
     pair = write_system(tmp_path / "pair.json", 3.0, "disk", [(1.0, (1.5, 0.0)), (2.0, (0.0, -1.0))])
     for path, radius in ((readme, 1.0), (pair, 3.0)):
-        for tol, used in ((["--tol", "1e-10"], 1e-10), ([], 1e-12 * radius)):
-            done = run_cli("karcher-compare", "--input", str(path), *tol)
-            assert done.returncode == 0, done.stderr
-            assert json.loads(done.stdout)["tolerances"]["karcher_gradient"] == used
+        done = run_cli("karcher-compare", "--input", str(path))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["tolerances"]["karcher_gradient"] == 1e-12 * radius
 
 
 def test_karcher_compare_line_center_is_the_com_center(tmp_path):
@@ -688,6 +688,17 @@ def test_equilibrium_refuses_angles_past_the_ceiling_before_allocating(capsys):
     assert out == ""
     assert err == "hypercom: error: a rotation sweep takes at most 65536 angles, got count 100000000\n"
     assert peak < 2**20
+
+
+def test_equilibrium_checks_the_whole_angle_count_before_the_balance():
+    # These masses have no balancing radius inside the disk (exit 2); the
+    # count past the ceiling was reported only after that failure.
+    done = run_cli(
+        "equilibrium", "--m1", "1e300", "--m2", "1e-300", "--alpha", "0.9",
+        "--radius", "1", "--angles", "100000000",
+    )
+    _one_line_failure(done, 1)
+    assert done.stderr == "hypercom: error: a rotation sweep takes at most 65536 angles, got count 100000000\n"
 
 
 # Every subcommand that takes --output, in each of its formats; PAIR
@@ -1030,6 +1041,22 @@ def test_com_near_rim_center_is_reported(tmp_path):
     assert abs(re_c - w.real) <= math.ulp(w.real)
     assert abs(im_c - w.imag) <= math.ulp(w.imag)
     assert all(map(math.isfinite, results["center_hyperboloid"]))
+
+
+def test_karcher_compare_gradient_that_overflows_is_a_numerical_failure(tmp_path):
+    # Three particles at R = 1e100, each pair more than 710 R apart.
+    radius = 1e100
+    rows = [
+        (m, (radius * math.sinh(b) * math.cos(h), radius * math.sinh(b) * math.sin(h),
+             radius * math.cosh(b)))
+        for m, b, h in ((4.0, 416.4, 0.98), (1.0, 346.7, 4.34), (1.0, 412.0, 3.59))
+    ]
+    path = write_system(tmp_path / "far.json", radius, "hyperboloid", rows)
+    done = run_cli("karcher-compare", "--input", str(path))
+    _one_line_failure(done, 2)
+    assert re.fullmatch(
+        r"hypercom: numerical failure: barycenter gradient at \(.*\) is not finite\n", done.stderr
+    )
 
 
 def test_karcher_compare_barycenter_without_a_disk_image_is_a_numerical_failure(tmp_path):

@@ -314,17 +314,6 @@ def test_karcher_converges_on_random_trials():
         karcher_mean(system)
 
 
-def test_karcher_tolerance_below_the_rounding_floor_is_answered_at_the_floor():
-    # 1e-300 lies below what doubles can resolve; the solver returns its
-    # best iterate there (it raised ConvergenceError) and reports the
-    # gradient norm it reached.
-    rng = np.random.default_rng(37)
-    system = random_system(rng)
-    result = karcher_solve(system, tol=1e-300)
-    assert result.gradient_norm >= 1e-300
-    assert result.gradient_norm <= sheet_floor([*system.positions(), result.point], 1.0)
-
-
 def _far_systems(seed):
     # Pairs out to 20R, 100R and 300R at R = 1, 1e-100 and 1e100, ten
     # per cell, then twenty systems of 3 to 5 particles out to 40R at
@@ -342,8 +331,8 @@ def _far_systems(seed):
 
 
 def test_karcher_far_systems_are_answered_within_the_rounding_floor():
-    # Far out the rounding floor of the gradient passes the default
-    # tolerance 1e-12 R; the solver raised ConvergenceError ("stalled") on
+    # Far out the rounding floor of the gradient passes the tolerance
+    # karcher.GRADIENT_TOL R; the solver raised ConvergenceError ("stalled") on
     # 40 of the 110 systems of seed 53.  The mpmath gradient norm bounds
     # the distance to the true mean (the Hessian is at least the identity).
     # The other seeds are those of 1 to 60 on which the Newton iteration
@@ -461,10 +450,6 @@ def test_karcher_step_cap_raises_convergence_error(monkeypatch):
 def test_karcher_settings_validation():
     from hypercom import disk_system
 
-    system = hyperboloid_system([1.0], [(0.0, 0.0, 1.0)], 1.0)
-    for tol in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValidationError, match="tolerance must be positive"):
-            karcher_mean(system, tol)
     with pytest.raises(ValidationError):
         karcher_mean(disk_system([1.0], [0.2 + 0j], 1.0))
 
@@ -527,6 +512,22 @@ def test_karcher_particle_whose_rapidity_passes_the_double_range_fails_numerical
     assert sheet_distance_highprec(near, mean, radius) == pytest.approx(
         2.0 * sheet_distance_highprec(pole, mean, radius), rel=1e-13
     )
+
+
+def test_karcher_gradient_that_overflows_fails_numerically():
+    # Three particles at R = 1e100, each pair more than 710 R apart: the
+    # gradient at an iterate of the Newton loop passes the double range.
+    radius = 1e100
+    points = [
+        (radius * math.sinh(b) * math.cos(h), radius * math.sinh(b) * math.sin(h),
+         radius * math.cosh(b))
+        for b, h in ((416.4, 0.98), (346.7, 4.34), (412.0, 3.59))
+    ]
+    for k in range(3):
+        assert sheet_distance_highprec(points[k - 1], points[k], radius) / radius > 710.0
+    system = hyperboloid_system([4.0, 1.0, 1.0], points, radius)
+    with pytest.raises(NumericalError, match=r"^barycenter gradient at \(.*\) is not finite$"):
+        karcher_solve(system)
 
 
 def test_every_sheet_reader_fails_numerically_at_a_rapidity_past_the_double_range():
