@@ -233,7 +233,9 @@ def _sweep_count(count: int) -> int:
     except TypeError:
         n = 0
     if n < 1:
-        raise ValidationError(f"a rotation sweep needs at least one angle, got count {count!r}")
+        raise ValidationError(
+            f"a rotation sweep needs an integer count of at least one angle, got count {count!r}"
+        )
     if n > MAX_SWEEP_ANGLES:
         raise ValidationError(
             f"a rotation sweep takes at most {MAX_SWEEP_ANGLES} angles, got count {count!r}"

@@ -1055,7 +1055,26 @@ def test_karcher_compare_gradient_that_overflows_is_a_numerical_failure(tmp_path
     done = run_cli("karcher-compare", "--input", str(path))
     _one_line_failure(done, 2)
     assert re.fullmatch(
-        r"hypercom: numerical failure: barycenter gradient at \(.*\) is not finite\n", done.stderr
+        r"hypercom: numerical failure: barycenter iterate \(.*\) or its gradient overflows\n",
+        done.stderr,
+    )
+
+
+def test_karcher_compare_log_sum_past_the_double_range_is_a_numerical_failure(tmp_path):
+    # Three particles each about 1359 R apart (test_karcher.FAR_TRIPLE):
+    # the Newton loop's log sums passed the double range and
+    # karcher-compare ended in a "-inf + inf in fsum" traceback.
+    rows = [
+        (9.980144493487254, (1.6877235372573954e244, -9.338926064519434e243, 1.9288769112097897e244)),
+        (7.538424218255, (2.759683485111051e245, -1.4030419439598386e245, 3.095864925106598e245)),
+        (5.381716783677549, (2.047606655302281e243, -2.0985667403122044e242, 2.058332538360515e243)),
+    ]
+    path = write_system(tmp_path / "far.json", 2.248785983625773e-52, "hyperboloid", rows)
+    done = run_cli("karcher-compare", "--input", str(path))
+    _one_line_failure(done, 2)
+    assert re.fullmatch(
+        r"hypercom: numerical failure: barycenter iterate \(.*\) or its gradient overflows\n",
+        done.stderr,
     )
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -303,6 +304,16 @@ def test_sweep_and_grid_take_an_integer_count_of_at_least_one(count):
         uniform_angles(count)
     with pytest.raises(ValidationError, match="at least one angle"):
         rotation_sweep(system, count)
+
+
+@pytest.mark.parametrize("count", [2.5, "4", 1.0])
+def test_sweep_count_that_is_not_an_integer_is_refused_as_such(count):
+    # 2.5 is more than one angle, yet the refusal named only the floor of one.
+    system = diametric_system(1.0, 2.0, 0.5, 1.0)
+    message = f"needs an integer count of at least one angle, got count {count!r}"
+    for call in (lambda: uniform_angles(count), lambda: rotation_sweep(system, count)):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            call()
 
 
 def test_sweep_count_past_the_ceiling_is_refused_before_any_grid():
