@@ -43,7 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from itertools import repeat
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, mul, truediv
 from typing import NamedTuple
 
 from .errors import NumericalError, ValidationError
@@ -58,6 +58,7 @@ from .geometry import (
     _disk_distance,
     _disk_halves,
     _disk_point,
+    _disk_points,
     _inside,
     _line_halves,
     _on_sheet_column,
@@ -321,11 +322,12 @@ def com_hyperboloid(masses, points, radius: float) -> HPoint:
 def _system_center(system: MassedSystem):
     """(mean, center) of a system: _centers of its own one column."""
     masses, positions = system.mass_column, system.position_column
-    return _centers(system.model, masses, system.total_mass, positions, system.radius)[0]
+    means, centers = _centers(system.model, masses, system.total_mass, positions, system.radius)
+    return means[0], centers[0]
 
 
 def _centers(model: str, masses, total: float, positions, radius: float):
-    """[(mean, center)] per column of validated particles; the one center kernel.
+    """(means, centers), one entry per column of validated particles; the one center kernel.
 
     ``positions`` holds columns of len(masses) points back to back (one
     for a system, one per angle for a rotation sweep), all with the
@@ -355,12 +357,13 @@ def _centers(model: str, masses, total: float, positions, radius: float):
         centers = map(_MODELS[model][0], positions)
     else:
         means = _means(masses, total, re, im)
-        point = _sheet_center if model == HYPERBOLOID else _disk_point
-        centers = map(point, means, repeat(radius))
+        if model == HYPERBOLOID:
+            return means, list(map(_sheet_center, means, repeat(radius)))
+        centers = _disk_points(means, radius)
         centers = map(attrgetter("real"), centers) if model == LINE else centers
     if model != HYPERBOLOID:
-        means = map(add, means, means)
-    return list(zip(means, centers))
+        means = list(map(add, means, means))
+    return means, list(centers)
 
 
 def _sheet_center(mean: complex, radius: float) -> HPoint:
@@ -390,7 +393,7 @@ def _means(masses, total: float, re, im=None) -> list[complex]:
         else:  # zip(*[terms] * n) groups each column's n products
             parts = (re, im or repeat(0.0, len(re)))
             sums = [map(math.fsum, zip(*[map(mul, masses * columns, v)] * n)) for v in parts]
-            means = [complex(a / total, b / total) for a, b in zip(*sums)]
+            means = list(map(complex, *(map(truediv, v, repeat(total)) for v in sums)))
         if all(map(cmath.isfinite, means)):
             return means
     except (OverflowError, ValueError):
@@ -444,8 +447,8 @@ def lever_residual(m1, p1, m2, p2, probe, radius: float) -> float:
     m2 = check_mass(m2)
     radius = check_radius(radius)
     p1 = check_disk_point(p1, radius)
-    probe = check_disk_point(probe, radius)
     p2 = check_disk_point(p2, radius)
+    probe = check_disk_point(probe, radius)
     return m1 * _disk_distance(p1, probe, radius) - m2 * _disk_distance(p2, probe, radius)
 
 

@@ -206,7 +206,7 @@ def _cmd_limit_sweep(args) -> str:
                 else f"point {w!r} falls outside the swept disk of radius {smallest!r}"
             )
     total = system.total_mass
-    centers = [_centers(DISK, masses, total, positions, r)[0][1] for r in radii]
+    centers = [_centers(DISK, masses, total, positions, r)[1][0] for r in radii]
     flat = com_euclidean(masses, positions)
     rows = [(r, abs(center - flat)) for r, center in zip(radii, centers)]
     if args.format == "csv":

@@ -18,11 +18,11 @@ exact sums and cmath.tanh are odd bit for bit.  So for an even count
 rotation_sweep evaluates only the first half of its uniform grid;
 sample k + N/2 is sample k turned by pi, its center and mean negated
 and its defect the same float.  An odd count evaluates every angle.
-The rotated columns of all evaluated angles go to the center kernel in
-one call, with the bits of a call per angle.  Turning by 1 + 0j changes
-at most the sign of a zero, and fsum reads a zero sum as +0.0, so for
-two or more particles angle 0 is the base center, bit for bit.  The
-same spirit applies to the three-body collinear and equilateral
+The columns turned by the cached grid of the last count go to the center
+kernel in one call, with the bits of a call per angle.  Turning by 1 + 0j
+changes at most the sign of a zero, and fsum reads a zero sum as +0.0,
+so for two or more particles angle 0 is the base center, bit for bit.
+The same spirit applies to the three-body collinear and equilateral
 constructions and to the mirror-symmetric pair, whose center provably
 stays on the imaginary axis (the geodesic fixed by x -> -x).  Each of
 these builds and validates one system and returns it with its center.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from itertools import repeat
 from operator import index, mul, neg, sub
 from typing import NamedTuple
@@ -71,8 +72,8 @@ EQUALITY_RTOL = 1e-12
 
 # Rotation sweeps default to this many uniform angles in [0, 2*pi).
 SWEEP_ANGLES = 64
-# and take at most this many: a whole `hypercom equilibrium` call peaks at
-# about 0.8 KB of Python objects per angle (tracemalloc), so about 52 MB here.
+# and take at most this many: an `equilibrium` call peaks at about 0.8 KB per
+# angle (tracemalloc), 54 MB here, and the last grid, 3.3 MB here, stays cached.
 MAX_SWEEP_ANGLES = 2**16
 
 
@@ -246,31 +247,35 @@ def _sweep_count(count: int) -> int:
 def uniform_angles(count: int) -> list[float]:
     """The uniform grid 2 pi k / count, k = 0, ..., count - 1, for an integer
     count from 1 to MAX_SWEEP_ANGLES; the count is checked before the grid exists."""
-    n = _sweep_count(count)
-    return [2.0 * math.pi * k / n for k in range(n)]
+    return list(_grid(_sweep_count(count))[0])
+
+
+@lru_cache(maxsize=1)
+def _grid(n: int) -> tuple[tuple[float, ...], tuple[complex, ...]]:
+    """The angles 2 pi k / n of a checked count, and the turns exp(i angle) a sweep evaluates."""
+    angles = tuple(2.0 * math.pi * k / n for k in range(n))
+    return angles, tuple(cmath.exp(1j * a) for a in angles[:n // 2 if n % 2 == 0 else n])
 
 
 def rotation_sweep(system: MassedSystem, count: int = SWEEP_ANGLES) -> RotationSweep:
     """Recompute the center over rigid rotations by uniform_angles(count).
 
     A rotation about the origin keeps every point of a validated system
-    inside the disk, so the rotated columns of all evaluated angles go
-    to the center kernel in one pass, without building and revalidating
-    a system per angle.  An even count evaluates only the first half
-    and the second is the first turned by pi (see the module docstring);
-    an odd count evaluates every angle.
+    inside the disk, so the columns turned by the cached grid go to the
+    center kernel in one pass, without building and revalidating a
+    system per angle.  An even count evaluates only the first half and
+    the second is the first turned by pi (see the module docstring); an
+    odd count evaluates every angle.
     """
     _require_model(system, DISK)
-    angles = uniform_angles(count)
-    evaluated = len(angles) // 2 if len(angles) % 2 == 0 else len(angles)
+    angles, turns = _grid(_sweep_count(count))
     masses, total = system.mass_column, system.total_mass
-    rots = [cmath.exp(1j * angle) for angle in angles[:evaluated]]
-    rotated = [w * rot for rot in rots for w in system.position_column]
-    means, centers = zip(*_centers(DISK, masses, total, rotated, system.radius))
+    rotated = [w * turn for turn in turns for w in system.position_column]
+    means, centers = _centers(DISK, masses, total, rotated, system.radius)
     base = CenterOfMass(centers[0], means[0], total) if len(masses) > 1 else com_disk(system)
-    defects = list(map(abs, map(sub, centers, map(mul, repeat(base.center), rots))))
+    defects = list(map(abs, map(sub, centers, map(mul, repeat(base.center), turns))))
     max_defect, max_center_abs = max(defects), max(map(abs, centers))
-    if evaluated < len(angles):
+    if len(turns) < len(angles):
         # Sample k + N/2 is on the points of sample k turned by exactly -1.
         means, centers = (*means, *map(neg, means)), (*centers, *map(neg, centers))
         defects *= 2

@@ -411,9 +411,13 @@ def _disk_halves(positions, radius: float) -> list[complex]:
     return [cmath.atanh(w / radius) for w in positions]
 
 
+def _disk_points(halves, radius: float) -> list[complex]:
+    """R tanh(h) per h; inverse of _disk_halves, and in its real part of _line_halves."""
+    return [radius * t for t in map(cmath.tanh, halves)]
+
+
 def _disk_point(h: complex, radius: float) -> complex:
-    """R tanh(h); inverse of _disk_halves, and in its real part of _line_halves."""
-    return radius * cmath.tanh(h)
+    return _disk_points((h,), radius)[0]
 
 
 class GeodesicSegment(NamedTuple):

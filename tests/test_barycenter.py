@@ -620,8 +620,8 @@ def test_lever_residual_reports_the_first_bad_argument():
         "m2": (-1.0, "mass must be positive and finite, got -1.0"),
         "radius": (0.0, "curvature radius must be positive and finite, got 0.0"),
         "p1": (2.0, "point (2+0j) is not inside the disk of radius 1.0"),
-        "probe": (3.0, "point (3+0j) is not inside the disk of radius 1.0"),
         "p2": (4.0, "point (4+0j) is not inside the disk of radius 1.0"),
+        "probe": (3.0, "point (3+0j) is not inside the disk of radius 1.0"),
     }
     good = {"m1": 1.0, "m2": 2.0, "radius": 1.0, "p1": 0.5, "probe": 0j, "p2": -PARTNER_12}
     args = {name: value for name, (value, _) in bad.items()}
@@ -631,6 +631,12 @@ def test_lever_residual_reports_the_first_bad_argument():
         assert str(raised.value) == message
         args[name] = good[name]
     assert lever_residual(**args) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lever_residual_names_p2_before_the_probe():
+    # Both points are outside; p2 comes first in the signature, as in lever_point.
+    with pytest.raises(ValidationError, match=r"point \(1\.5\+0j\) is not inside"):
+        lever_residual(1.0, 0.1, 2.0, 1.5, 2.5, 1.0)
 
 
 def test_lever_point_equal_masses_is_midpoint():

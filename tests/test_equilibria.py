@@ -333,6 +333,24 @@ def test_sweep_count_past_the_ceiling_is_refused_before_any_grid():
         assert peak < 2**20
 
 
+def test_sweep_grid_cache_holds_one_grid():
+    # The grid of the largest sweep, about 3.3 MB, stays cached after the
+    # sweep is gone, until a sweep of another count replaces it.  Caching
+    # it must not raise the sweep's peak, 21.6 MiB without a cache.
+    pair = diametric_system(1.0, 2.0, 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        sweep = rotation_sweep(pair, MAX_SWEEP_ANGLES)
+        peak = tracemalloc.get_traced_memory()[1]
+        del sweep
+        rotation_sweep(pair)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22 * 2**20
+    assert held < 0.1 * 2**20
+
+
 def test_sweep_count_is_read_by_operator_index():
     system = diametric_system(1.0, 2.0, 0.5, 1.0)
     assert uniform_angles(np.int64(4)) == uniform_angles(4)

@@ -156,11 +156,24 @@ def test_rotation_sweep_equals_per_angle_rebuild(system, count):
         assert repr(second) == repr(turned)
         rot = -cmath.exp(1j * first.angle)
         points = [w * rot for w in system.position_column]
-        mean, center = _centers(DISK, system.mass_column, system.total_mass, points, system.radius)[0]
+        (mean,), (center,) = _centers(DISK, system.mass_column, system.total_mass, points, system.radius)
         assert (center, mean) == (second.com.center, second.com.log_ratio_mean)
     assert [s.angle for s in sweep.samples] == grid
     assert sweep.max_defect == max(s.defect for s in sweep.samples)
     assert sweep.max_center_abs == max(abs(s.com.center) for s in sweep.samples)
+
+
+def test_cached_grid_is_never_shared_or_stale():
+    # The sweep keeps its last grid; a caller's copy of it, and a grid
+    # of another count in between, must change no later sweep.
+    system = disk_system([1.0, 2.0, 0.5], [0.3 + 0.4j, -0.6 + 0.1j, 0.2 - 0.7j], 1.0)
+    grid = uniform_angles(64)
+    grid[0], grid[-1] = 1.0, math.nan
+    grid.reverse()
+    assert uniform_angles(64) == [2.0 * math.pi * k / 64 for k in range(64)]
+    assert [s.angle for s in rotation_sweep(system).samples] == uniform_angles(64)
+    for count in (64, 7, 64, 8, 1):
+        test_rotation_sweep_equals_per_angle_rebuild.hypothesis.inner_test(system, count)
 
 
 @pytest.mark.parametrize(
